@@ -1,10 +1,13 @@
 // F13 — catalog-scale storage engine: binary bulk ingest (COPY) versus a
 // per-statement INSERT loop, columnar scan/aggregate kernels versus the
-// row path, and radix prefix-index lookup latency, on a synthetic object
-// catalogue of 1M rows by default (--large: 10M, --smoke: tiny gate).
-// Emits a JSON block (schema versioned, tagged with the build revision)
-// so future PRs can track the trajectory; `--smoke` runs as a ctest and
-// exits non-zero when the row and columnar engines disagree on results.
+// row path, radix prefix-index lookup latency, and primary-key UPDATE /
+// DELETE cost next to a point SELECT on the same key, on a synthetic
+// object catalogue of 1M rows by default (--large: 10M, --smoke: 20k-row
+// gate). Emits a JSON block (schema versioned, tagged with the build
+// revision, type and core count) so future PRs can track the trajectory;
+// `--smoke` runs as a ctest and exits non-zero when the row and columnar
+// engines disagree on results, or when a pk UPDATE or DELETE costs more
+// than 10 point SELECTs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,6 +16,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/io.h"
@@ -25,6 +29,9 @@
 #ifndef EASIA_BENCH_REV
 #define EASIA_BENCH_REV "unknown"
 #endif
+#ifndef EASIA_BUILD_TYPE
+#define EASIA_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
@@ -34,6 +41,15 @@ using namespace easia::db;
 /// Rows per bulk-file chunk = rows per COPY transaction = rows per WAL
 /// sync on the bulk path.
 constexpr size_t kChunkRows = 4096;
+
+/// The --smoke gate: a pk UPDATE or DELETE may cost at most this many
+/// point SELECTs on the same key. A full-table target scan costs ~400 at
+/// 20k rows; an index-driven one a small constant.
+constexpr double kMaxDmlToPointSelect = 10.0;
+/// Statements per timed DML batch, and batches per statement kind (the
+/// minimum is reported).
+constexpr size_t kDmlOps = 200;
+constexpr int kDmlTrials = 5;
 
 struct Config {
   size_t rows = 1000000;
@@ -64,10 +80,13 @@ std::vector<Row> MakeRows(size_t n) {
 /// fdatasync per statement, COPY pays one batch record and one sync per
 /// 4096-row chunk — the amortisation that makes bulk ingest the only
 /// viable way to load a catalogue-scale archive.
-std::unique_ptr<Database> MakeDatabase(const char* name, bool columnar) {
+std::unique_ptr<Database> MakeDatabase(const char* name, bool columnar,
+                                       bool wal = true) {
   DatabaseOptions opts;
-  opts.wal_path = std::string("/tmp/easia_bench_f13_") + name + ".wal";
-  std::remove(opts.wal_path.c_str());
+  if (wal) {
+    opts.wal_path = std::string("/tmp/easia_bench_f13_") + name + ".wal";
+    std::remove(opts.wal_path.c_str());
+  }
   auto db = std::make_unique<Database>(name, opts);
   std::string ddl =
       "CREATE TABLE OBJ (ID INTEGER NOT NULL, NAME VARCHAR(32),"
@@ -165,6 +184,59 @@ PrefixLatency TimePrefixLookups(Database& db, size_t lookups, size_t rows) {
   return out;
 }
 
+/// Per-statement cost of pk UPDATE and pk DELETE next to a point SELECT
+/// on the same key, through Database::Execute (parse included).
+struct DmlCost {
+  double select_us = -1;
+  double update_us = -1;
+  double delete_us = -1;
+  double UpdateRatio() const { return update_us / select_us; }
+  double DeleteRatio() const { return delete_us / select_us; }
+};
+
+/// Times `ops` statements built by `sql(i)` for i in [first, first+ops);
+/// mean microseconds per statement, or -1 when one fails.
+template <typename MakeSql>
+double TimeStatementsUs(Database& db, size_t first, size_t ops,
+                        const MakeSql& sql) {
+  std::vector<std::string> batch;
+  for (size_t i = first; i < first + ops; ++i) batch.push_back(sql(i));
+  auto t0 = std::chrono::steady_clock::now();
+  for (const std::string& s : batch) {
+    Result<QueryResult> r = db.Execute(s);
+    if (!r.ok() || r->rows_affected + r->rows.size() != 1) return -1;
+  }
+  return SecondsSince(t0) * 1e6 / static_cast<double>(ops);
+}
+
+/// Min-of-trials per statement kind, the trials interleaved so a slow
+/// phase of the host hits all three alike. Runs on a WAL-less database:
+/// a per-commit fsync would dwarf both sides of the ratio. Every DELETE
+/// removes a distinct row (keys are a stride-7919 walk over the table).
+DmlCost TimeDml(Database& db, size_t rows) {
+  DmlCost out;
+  auto key = [rows](size_t i) { return (i * 7919) % rows; };
+  auto best = [](double* slot, double us) {
+    if (us < 0 || *slot < 0 || us < *slot) *slot = us;
+  };
+  for (int t = 0; t < kDmlTrials; ++t) {
+    size_t first = static_cast<size_t>(t) * kDmlOps;
+    best(&out.select_us, TimeStatementsUs(db, first, kDmlOps, [&](size_t i) {
+           return StrPrintf("SELECT * FROM OBJ WHERE ID = %zu", key(i));
+         }));
+    best(&out.update_us, TimeStatementsUs(db, first, kDmlOps, [&](size_t i) {
+           return StrPrintf("UPDATE OBJ SET MAG = %zu.5 WHERE ID = %zu",
+                            i % 1000, key(i));
+         }));
+    best(&out.delete_us, TimeStatementsUs(db, first, kDmlOps, [&](size_t i) {
+           return StrPrintf("DELETE FROM OBJ WHERE ID = %zu", key(i));
+         }));
+    // A failed statement poisons the kind for good (-1 stays -1).
+    if (out.select_us < 0 || out.update_us < 0 || out.delete_us < 0) break;
+  }
+  return out;
+}
+
 /// The parity gate behind --smoke: both engines must agree on a scan, an
 /// aggregate and a prefix LIKE. Returns the number of disagreements.
 int CheckParity(Database& row_db, Database& col_db) {
@@ -199,6 +271,19 @@ int CheckParity(Database& row_db, Database& col_db) {
 
 int RunReproduction(const Config& cfg) {
   std::vector<Row> rows = MakeRows(cfg.rows);
+
+  // DML leg first, on WAL-less twins of each layout that are dropped
+  // before the other legs build their databases (no row-store twin when
+  // the row twin is skipped for memory).
+  std::vector<bool> layouts = {true};
+  if (cfg.build_row_twin) layouts.insert(layouts.begin(), false);
+  DmlCost dml[2];
+  for (bool columnar : layouts) {
+    auto db = MakeDatabase(columnar ? "F13DC" : "F13DR", columnar,
+                           /*wal=*/false);
+    if (TimeBulkIngest(*db, rows) < 0) return 1;
+    dml[columnar] = TimeDml(*db, cfg.rows);
+  }
 
   auto col_db = MakeDatabase("F13C", /*columnar=*/true);
   double bulk_secs = TimeBulkIngest(*col_db, rows);
@@ -244,9 +329,11 @@ int RunReproduction(const Config& cfg) {
   double insert_rate = insert_secs > 0 ? cfg.insert_rows / insert_secs : -1;
 
   std::printf("\n=== F13: catalog-scale storage engine ===\n");
-  std::printf("{\"bench\":\"f13_catalog_scale\",\"schema\":1,"
-              "\"rev\":\"%s\",\"rows\":%zu,\n",
-              EASIA_BENCH_REV, cfg.rows);
+  std::printf("{\"bench\":\"f13_catalog_scale\",\"schema\":2,"
+              "\"rev\":\"%s\",\"build_type\":\"%s\",\"nproc\":%u,"
+              "\"rows\":%zu,\n",
+              EASIA_BENCH_REV, EASIA_BUILD_TYPE,
+              std::thread::hardware_concurrency(), cfg.rows);
   std::printf(" \"ingest\":{\"bulk_rows_per_sec\":%.0f,"
               "\"insert_rows_per_sec\":%.0f,\"insert_sample_rows\":%zu,"
               "\"chunk_rows\":%zu,\"synced_wal\":true,"
@@ -264,12 +351,37 @@ int RunReproduction(const Config& cfg) {
   std::printf(" \"group_by_ms\":{\"columnar\":%.2f,\"row\":%.2f},\n",
               col_group_ms, row_group_ms);
   std::printf(" \"prefix_lookup\":{\"lookups\":%zu,\"hits\":%zu,"
-              "\"p50_us\":%.2f,\"p99_us\":%.2f}}\n",
+              "\"p50_us\":%.2f,\"p99_us\":%.2f},\n",
               cfg.prefix_lookups, prefix.total_hits, prefix.p50_us,
               prefix.p99_us);
+  std::printf(" \"pk_dml\":{\"ops\":%zu,\"trials\":%d,\"wal\":false",
+              kDmlOps, kDmlTrials);
+  for (bool columnar : layouts) {
+    const DmlCost& c = dml[columnar];
+    std::printf(",\n  \"%s\":{\"point_select_us\":%.2f,\"update_us\":%.2f,"
+                "\"delete_us\":%.2f,\"update_ratio\":%.2f,"
+                "\"delete_ratio\":%.2f}",
+                columnar ? "columnar" : "row", c.select_us, c.update_us,
+                c.delete_us, c.UpdateRatio(), c.DeleteRatio());
+  }
+  std::printf("}}\n");
 
-  if (row_db != nullptr) return CheckParity(*row_db, *col_db);
-  return 0;
+  int violations = 0;
+  for (bool columnar : layouts) {
+    const DmlCost& c = dml[columnar];
+    bool measured = c.select_us > 0 && c.update_us > 0 && c.delete_us > 0;
+    if (!measured || c.UpdateRatio() > kMaxDmlToPointSelect ||
+        c.DeleteRatio() > kMaxDmlToPointSelect) {
+      ++violations;
+      std::fprintf(stderr,
+                   "pk DML gate (%s): update %.1fx, delete %.1fx a point "
+                   "select (limit %.0fx)\n",
+                   columnar ? "columnar" : "row", c.UpdateRatio(),
+                   c.DeleteRatio(), kMaxDmlToPointSelect);
+    }
+  }
+  if (row_db != nullptr) violations += CheckParity(*row_db, *col_db);
+  return violations;
 }
 
 // ---- Microbenchmarks (skipped under --smoke) ----

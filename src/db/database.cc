@@ -722,35 +722,18 @@ Result<QueryResult> Database::ExecUpdate(const UpdateStmt& stmt,
   (void)ctx;
   EASIA_ASSIGN_OR_RETURN(Table * table, GetMutableTable(stmt.table));
   const TableDef& def = table->def();
-  // Single-table schema for predicate/assignment evaluation.
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : def.columns) {
-    schema.push_back({def.name, col.name, col.type, &col});
-  }
+  // Single-table schema for assignment evaluation.
+  std::vector<ColumnBinding> schema = TableSchema(def, def.name);
   std::vector<std::pair<size_t, const Expr*>> sets;
   for (const auto& [col, expr] : stmt.assignments) {
     EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
     sets.emplace_back(idx, expr.get());
   }
   // Materialise target row ids first (avoid mutating while scanning).
-  std::vector<RowId> targets;
-  Status scan_status = Status::OK();
-  table->ForEachRow([&](RowId id, const Row& row) {
-    if (!scan_status.ok()) return;
-    if (stmt.where != nullptr) {
-      EvalEnv env{&schema, &row};
-      Result<Value> cond = EvalExpr(*stmt.where, env);
-      if (!cond.ok()) {
-        scan_status = cond.status();
-        return;
-      }
-      if (!IsTruthy(*cond)) return;
-    }
-    targets.push_back(id);
-  });
-  EASIA_RETURN_IF_ERROR(scan_status);
+  EASIA_ASSIGN_OR_RETURN(DmlTargets targets,
+                         SelectDmlTargets(*table, stmt.where.get()));
   size_t updated = 0;
-  for (RowId id : targets) {
+  for (RowId id : targets.row_ids) {
     EASIA_ASSIGN_OR_RETURN(Row old_row, table->Get(id));
     Row new_row = old_row;
     EvalEnv env{&schema, &old_row};
@@ -791,28 +774,10 @@ Result<QueryResult> Database::ExecDelete(const DeleteStmt& stmt,
   (void)ctx;
   EASIA_ASSIGN_OR_RETURN(Table * table, GetMutableTable(stmt.table));
   const TableDef& def = table->def();
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : def.columns) {
-    schema.push_back({def.name, col.name, col.type, &col});
-  }
-  std::vector<RowId> targets;
-  Status scan_status = Status::OK();
-  table->ForEachRow([&](RowId id, const Row& row) {
-    if (!scan_status.ok()) return;
-    if (stmt.where != nullptr) {
-      EvalEnv env{&schema, &row};
-      Result<Value> cond = EvalExpr(*stmt.where, env);
-      if (!cond.ok()) {
-        scan_status = cond.status();
-        return;
-      }
-      if (!IsTruthy(*cond)) return;
-    }
-    targets.push_back(id);
-  });
-  EASIA_RETURN_IF_ERROR(scan_status);
+  EASIA_ASSIGN_OR_RETURN(DmlTargets targets,
+                         SelectDmlTargets(*table, stmt.where.get()));
   size_t deleted = 0;
-  for (RowId id : targets) {
+  for (RowId id : targets.row_ids) {
     EASIA_ASSIGN_OR_RETURN(Row old_row, table->Get(id));
     EASIA_RETURN_IF_ERROR(CheckNoChildren(def, old_row, nullptr));
     for (size_t i = 0; i < def.columns.size(); ++i) {

@@ -230,6 +230,16 @@ bool TryUniqueLookup(const SelectStmt& stmt, const Table& table,
 
 }  // namespace
 
+std::vector<ColumnBinding> TableSchema(const TableDef& def,
+                                       const std::string& alias) {
+  std::vector<ColumnBinding> schema;
+  schema.reserve(def.columns.size());
+  for (const ColumnDef& col : def.columns) {
+    schema.push_back({alias, col.name, col.type, &col});
+  }
+  return schema;
+}
+
 bool IsTruthy(const Value& value) {
   if (value.is_null()) return false;
   if (value.IsNumericKind()) return value.AsDouble() != 0;
@@ -508,10 +518,8 @@ Status BuildRowsPlanned(const SelectPlan& plan,
   std::vector<std::vector<ColumnBinding>> scan_schemas(n);
   std::vector<std::vector<ColumnBinding>> cum_schemas(n + 1);
   for (size_t i = 0; i < n; ++i) {
-    for (const ColumnDef& col : plan.scans[i].table->def().columns) {
-      scan_schemas[i].push_back({plan.scans[i].alias, col.name, col.type,
-                                 &col});
-    }
+    scan_schemas[i] =
+        TableSchema(plan.scans[i].table->def(), plan.scans[i].alias);
     cum_schemas[i + 1] = cum_schemas[i];
     cum_schemas[i + 1].insert(cum_schemas[i + 1].end(),
                               scan_schemas[i].begin(), scan_schemas[i].end());
@@ -540,39 +548,18 @@ Status BuildRowsPlanned(const SelectPlan& plan,
     TimeGuard tg(profile != nullptr ? &profile->scans[i].seconds : nullptr);
     std::vector<Row> fetched;
     std::vector<RowId> fetched_ids;
-    if (scan.access == ScanPlan::Access::kSeqScan) {
-      if (scan.kernel_filter) {
-        // Columnar filter kernel: matching RowIds over the raw arrays, then
-        // materialise only survivors. The pushed predicates are still
-        // re-evaluated below, so the kernel can only narrow the candidate
-        // set, never change which rows qualify.
-        for (RowId id :
-             scan.table->column_store()->FilterScan(scan.kernel_predicates)) {
-          EASIA_ASSIGN_OR_RETURN(Row row, scan.table->Get(id));
-          fetched.push_back(std::move(row));
-          fetched_ids.push_back(id);
-        }
-      } else {
-        scan.table->ForEachRow([&fetched, &fetched_ids](RowId id,
-                                                        const Row& row) {
-          fetched.push_back(row);
-          fetched_ids.push_back(id);
-        });
-      }
-    } else if (scan.access == ScanPlan::Access::kPrefixScan) {
-      // Radix candidates are a superset of the LIKE matches (the pattern's
-      // wildcard tail still applies); the pushed LIKE conjunct below does
-      // the exact filtering.
-      for (RowId id : scan.table->RadixPrefixRowIds(scan.index_columns[0],
-                                                    scan.prefix)) {
-        EASIA_ASSIGN_OR_RETURN(Row row, scan.table->Get(id));
-        fetched.push_back(std::move(row));
+    if (scan.access == ScanPlan::Access::kSeqScan && !scan.kernel_filter) {
+      scan.table->ForEachRow([&fetched, &fetched_ids](RowId id,
+                                                      const Row& row) {
+        fetched.push_back(row);
         fetched_ids.push_back(id);
-      }
+      });
     } else {
-      EASIA_ASSIGN_OR_RETURN(
-          std::vector<RowId> ids,
-          scan.table->FindByIndex(scan.index_columns, scan.key_values));
+      // Index hits, radix prefix candidates or filter-kernel survivors:
+      // only these rows are materialised. The pushed predicates are still
+      // re-evaluated below, so the access path can only narrow the
+      // candidate set, never change which rows qualify.
+      EASIA_ASSIGN_OR_RETURN(std::vector<RowId> ids, CandidateRowIds(scan));
       for (RowId id : ids) {
         EASIA_ASSIGN_OR_RETURN(Row row, scan.table->Get(id));
         fetched.push_back(std::move(row));
@@ -1038,10 +1025,8 @@ Result<QueryResult> ExecuteAggregateFast(const SelectStmt& stmt,
       cs->AggregateScan(scan.kernel_predicates, plan.aggregate.group_by_cols,
                         plan.aggregate.aggs));
 
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : scan.table->def().columns) {
-    schema.push_back({scan.alias, col.name, col.type, &col});
-  }
+  std::vector<ColumnBinding> schema =
+      TableSchema(scan.table->def(), scan.alias);
   QueryResult result;
   result.is_query = true;
   for (size_t i = 0; i < stmt.items.size(); ++i) {

@@ -28,6 +28,10 @@ struct ColumnBinding {
   const ColumnDef* def = nullptr;  // source column definition (may be null)
 };
 
+/// The bindings of every column of `def` under `alias`, in table order.
+std::vector<ColumnBinding> TableSchema(const TableDef& def,
+                                       const std::string& alias);
+
 /// Expression evaluation environment: a schema plus (optionally) a current
 /// row. INSERT value lists evaluate with `row == nullptr`.
 struct EvalEnv {

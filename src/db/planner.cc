@@ -274,6 +274,26 @@ void ChooseAccessPath(ScanPlan* scan,
   }
 }
 
+/// A columnar seq scan whose pushed conjuncts all convert runs the
+/// vectorised filter instead of materialising every row. All-or-nothing:
+/// partial conversion could change which conjunct errors first.
+void ChooseKernelFilter(ScanPlan* scan,
+                        const std::vector<AliasSchema>& aliases,
+                        size_t alias_index) {
+  if (scan->access != ScanPlan::Access::kSeqScan || scan->pushed.empty() ||
+      scan->table->storage_kind() != Table::StorageKind::kColumnar) {
+    return;
+  }
+  std::vector<store::ColPredicate> preds;
+  for (const Expr* e : scan->pushed) {
+    store::ColPredicate p;
+    if (!ConvertToColPredicate(*e, aliases, alias_index, &p)) return;
+    preds.push_back(std::move(p));
+  }
+  scan->kernel_filter = true;
+  scan->kernel_predicates = std::move(preds);
+}
+
 /// Decides whether the whole aggregate query maps onto one columnar
 /// AggregateScan kernel call, and fills the kernel spec when it does. Every
 /// bail-out leaves the query on the row path, which handles the general
@@ -762,29 +782,8 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
   }
 
   // --- Columnar filter kernels ---
-  // A columnar seq scan whose pushed conjuncts all convert runs the
-  // vectorised filter instead of materialising every row. All-or-nothing:
-  // partial conversion could change which conjunct errors first.
   for (size_t i = 0; i < n; ++i) {
-    ScanPlan& scan = prepared[i];
-    if (scan.access != ScanPlan::Access::kSeqScan || scan.pushed.empty() ||
-        scan.table->storage_kind() != Table::StorageKind::kColumnar) {
-      continue;
-    }
-    std::vector<store::ColPredicate> preds;
-    bool all = true;
-    for (const Expr* e : scan.pushed) {
-      store::ColPredicate p;
-      if (!ConvertToColPredicate(*e, aliases, i, &p)) {
-        all = false;
-        break;
-      }
-      preds.push_back(std::move(p));
-    }
-    if (all) {
-      scan.kernel_filter = true;
-      scan.kernel_predicates = std::move(preds);
-    }
+    ChooseKernelFilter(&prepared[i], aliases, i);
   }
 
   // --- Cardinality estimates (always computed: EXPLAIN ANALYZE shows
@@ -941,6 +940,77 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
     plan.row_cutoff = stmt.limit + std::max<int64_t>(stmt.offset, 0);
   }
   return plan;
+}
+
+Result<std::vector<RowId>> CandidateRowIds(const ScanPlan& scan) {
+  switch (scan.access) {
+    case ScanPlan::Access::kSeqScan:
+      if (!scan.kernel_filter) {
+        return Status::Internal("CandidateRowIds: plain sequential scan");
+      }
+      return scan.table->column_store()->FilterScan(scan.kernel_predicates);
+    case ScanPlan::Access::kPrefixScan:
+      // A superset of the LIKE matches: the pattern's wildcard tail still
+      // applies through the pushed LIKE conjunct.
+      return scan.table->RadixPrefixRowIds(scan.index_columns[0],
+                                           scan.prefix);
+    case ScanPlan::Access::kUniqueLookup:
+    case ScanPlan::Access::kIndexScan:
+      return scan.table->FindByIndex(scan.index_columns, scan.key_values);
+  }
+  return Status::Internal("CandidateRowIds: bad access path");
+}
+
+Result<DmlTargets> SelectDmlTargets(const Table& table, const Expr* where) {
+  const TableDef& def = table.def();
+  DmlTargets out;
+  out.scan.table = &table;
+  out.scan.alias = def.name;
+  if (where != nullptr) {
+    std::vector<AliasSchema> aliases = {{def.name, &table}};
+    std::vector<const Expr*> parts;
+    SplitConjuncts(*where, &parts);
+    bool resolved = true;
+    for (const Expr* e : parts) {
+      std::set<size_t> refs;
+      resolved = resolved && CollectAliases(*e, aliases, &refs);
+    }
+    if (resolved) {
+      out.scan.pushed = std::move(parts);
+      ChooseAccessPath(&out.scan, aliases, 0);
+      ChooseKernelFilter(&out.scan, aliases, 0);
+    }
+  }
+  std::vector<ColumnBinding> schema = TableSchema(def, def.name);
+  auto qualifies = [&](const Row& row) -> Result<bool> {
+    if (where == nullptr) return true;
+    EvalEnv env{&schema, &row};
+    EASIA_ASSIGN_OR_RETURN(Value cond, EvalExpr(*where, env));
+    return IsTruthy(cond);
+  };
+  if (out.scan.access == ScanPlan::Access::kSeqScan &&
+      !out.scan.kernel_filter) {
+    Status status = Status::OK();
+    table.ForEachRow([&](RowId id, const Row& row) {
+      if (!status.ok()) return;
+      Result<bool> keep = qualifies(row);
+      if (!keep.ok()) {
+        status = keep.status();
+      } else if (*keep) {
+        out.row_ids.push_back(id);
+      }
+    });
+    EASIA_RETURN_IF_ERROR(status);
+    return out;
+  }
+  EASIA_ASSIGN_OR_RETURN(std::vector<RowId> candidates,
+                         CandidateRowIds(out.scan));
+  for (RowId id : candidates) {
+    EASIA_ASSIGN_OR_RETURN(Row row, table.Get(id));
+    EASIA_ASSIGN_OR_RETURN(bool keep, qualifies(row));
+    if (keep) out.row_ids.push_back(id);
+  }
+  return out;
 }
 
 std::vector<std::string> SelectPlan::Describe() const {

@@ -40,9 +40,10 @@ struct ScanPlan {
   /// (LikePatternPrefix of the pushed pattern); the radix-indexed column
   /// is index_columns[0].
   std::string prefix;
-  /// Single-table WHERE/ON conjuncts pushed below the join. These are
-  /// re-evaluated on every fetched row (including index hits), so an index
-  /// choice can never change which rows qualify.
+  /// Single-table WHERE/ON conjuncts pushed below the join (for a DML
+  /// target scan: the whole WHERE). These are re-evaluated on every fetched
+  /// row (including index hits), so an index choice can never change which
+  /// rows qualify.
   std::vector<const Expr*> pushed;
   /// Columnar seq scans only: every pushed conjunct translated into a
   /// ColumnStore predicate, so the executor can run the filter kernel
@@ -152,6 +153,33 @@ struct PlannerOptions {
 Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
                               const TableLookup& lookup,
                               const PlannerOptions& options = {});
+
+/// RowIds an index-driven scan fetches, ascending: the unique or secondary
+/// index hits, the radix prefix candidates, or the filter kernel's
+/// survivors. Candidates only — the caller still evaluates the pushed
+/// predicates on each. Not for a plain sequential scan (kSeqScan without
+/// kernel_filter), which visits rows through Table::ForEachRow.
+Result<std::vector<RowId>> CandidateRowIds(const ScanPlan& scan);
+
+/// The rows a single-table UPDATE or DELETE acts on, and how they were
+/// found.
+struct DmlTargets {
+  /// The chosen access path; kSeqScan without kernel_filter is a full scan.
+  ScanPlan scan;
+  /// Rows on which the WHERE is truthy, in ascending RowId order (the order
+  /// a full scan visits them in).
+  std::vector<RowId> row_ids;
+};
+
+/// Selects the target rows of UPDATE/DELETE on `table`: the rows on which
+/// `where` (null: every row) is truthy. The WHERE takes the same
+/// single-table access paths as a planned SELECT scan — unique lookup,
+/// secondary (FK) index, radix prefix, columnar filter kernel — and the
+/// whole WHERE is re-evaluated on every candidate, so an index narrows the
+/// rows visited but never changes which qualify. A conjunct with an
+/// unknown or ambiguous column keeps the full scan, which then reports the
+/// evaluation error exactly as the unplanned scan does.
+Result<DmlTargets> SelectDmlTargets(const Table& table, const Expr* where);
 
 }  // namespace easia::db
 

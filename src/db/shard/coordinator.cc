@@ -9,6 +9,7 @@
 #include "common/string_util.h"
 #include "db/executor.h"
 #include "db/parser.h"
+#include "db/planner.h"
 #include "db/stats/table_stats.h"
 #include "obs/metrics.h"
 
@@ -254,6 +255,33 @@ uint64_t ShardCoordinator::SeqOf(const PartState& state,
                                  const Value& pk) const {
   auto it = state.seq.find(pk.ToKeyString());
   return it == state.seq.end() ? UINT64_MAX : it->second;
+}
+
+Result<std::vector<ShardCoordinator::DmlTarget>>
+ShardCoordinator::CollectDmlTargets(const TableDef& def,
+                                    const PartState* state,
+                                    const Expr* where) const {
+  std::vector<DmlTarget> targets;
+  // Broadcast tables are identical on every shard; shard 0 answers.
+  size_t scan_shards = state != nullptr ? shards_.size() : 1;
+  for (size_t s = 0; s < scan_shards; ++s) {
+    EASIA_ASSIGN_OR_RETURN(const Table* table, ShardTable(s, def.name));
+    EASIA_ASSIGN_OR_RETURN(DmlTargets found, SelectDmlTargets(*table, where));
+    for (RowId id : found.row_ids) {
+      DmlTarget target;
+      target.shard = s;
+      EASIA_ASSIGN_OR_RETURN(target.row, table->Get(id));
+      target.seq = state != nullptr
+                       ? SeqOf(*state, target.row[state->pk_index])
+                       : static_cast<uint64_t>(id);
+      targets.push_back(std::move(target));
+    }
+  }
+  std::stable_sort(targets.begin(), targets.end(),
+                   [](const DmlTarget& x, const DmlTarget& y) {
+                     return x.seq < y.seq;
+                   });
+  return targets;
 }
 
 void ShardCoordinator::MeterToCoordinator(const std::string& from_host,
@@ -902,10 +930,7 @@ Result<QueryResult> ShardCoordinator::RunScatter(
       return;
     }
     const Table* table = *src;
-    std::vector<ColumnBinding> schema;
-    for (const ColumnDef& col : table->def().columns) {
-      schema.push_back({alias, col.name, col.type, &col});
-    }
+    std::vector<ColumnBinding> schema = TableSchema(table->def(), alias);
     const size_t pk_index = state.pk_index;
     const bool per_row_seq = state.order_dirty;
     table->ForEachRow([&](RowId, const Row& row) {
@@ -1079,10 +1104,7 @@ Result<QueryResult> ShardCoordinator::RunScatter(
 
   // Output columns: the executor's naming/typing rules over the shard
   // schema (identical on every shard).
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : def.columns) {
-    schema.push_back({alias, col.name, col.type, &col});
-  }
+  std::vector<ColumnBinding> schema = TableSchema(def, alias);
   struct OutputItem {
     std::string name;
     DataType type = DataType::kVarchar;
@@ -1418,28 +1440,20 @@ Status ShardCoordinator::CheckNoChildren(
       // Broadcast children are identical everywhere; shard 0 answers.
       size_t probe_shards =
           part_.count(ToUpper(ref.from_table)) > 0 ? shards_.size() : 1;
+      // DELETE processes targets in global order; same-statement rows
+      // already deleted must not count as children (a single-node
+      // database has physically removed them by this point).
+      std::function<bool(const Row&)> live;
+      if (self && !excluded_self_keys.empty()) {
+        live = [&](const Row& child_row) {
+          return excluded_self_keys.count(PkKey(**child_def, child_row)) == 0;
+        };
+      }
       bool referenced = false;
       for (size_t s = 0; s < probe_shards && !referenced; ++s) {
         Result<const Table*> child = ShardTable(s, ref.from_table);
         if (!child.ok()) continue;
-        if (!self || excluded_self_keys.empty()) {
-          referenced = (*child)->AnyRowWithValue(child_idx, old_value);
-        } else {
-          // DELETE processes targets in global order; same-statement rows
-          // already deleted must not count as children (a single-node
-          // database has physically removed them by this point).
-          (*child)->ForEachRow([&](RowId, const Row& child_row) {
-            if (referenced) return;
-            if (child_row[child_idx].is_null() ||
-                !child_row[child_idx].Equals(old_value)) {
-              return;
-            }
-            if (excluded_self_keys.count(PkKey(**child_def, child_row)) > 0) {
-              return;
-            }
-            referenced = true;
-          });
-        }
+        referenced = (*child)->AnyRowWithValue(child_idx, old_value, live);
       }
       if (referenced) {
         return Status::ConstraintViolation("row is referenced by " +
@@ -1669,10 +1683,7 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
   auto pit = part_.find(ToUpper(def.name));
   PartState* state = pit == part_.end() ? nullptr : &pit->second;
 
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : def.columns) {
-    schema.push_back({def.name, col.name, col.type, &col});
-  }
+  std::vector<ColumnBinding> schema = TableSchema(def, def.name);
   std::vector<std::pair<size_t, const Expr*>> sets;
   for (const auto& [col, expr] : stmt.assignments) {
     EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
@@ -1685,60 +1696,27 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
     }
   }
 
-  // Materialise targets across shards in global insertion order —
-  // identical to the order a single-node full scan visits them in.
-  struct Target {
-    size_t shard = 0;
-    uint64_t seq = 0;
-    Row old_row;
-    Row new_row;
-  };
-  std::vector<Target> targets;
-  size_t scan_shards = state != nullptr ? shards_.size() : 1;
-  for (size_t s = 0; s < scan_shards; ++s) {
-    EASIA_ASSIGN_OR_RETURN(const Table* table, ShardTable(s, def.name));
-    Status scan_status = Status::OK();
-    table->ForEachRow([&](RowId id, const Row& row) {
-      if (!scan_status.ok()) return;
-      if (stmt.where != nullptr) {
-        EvalEnv env{&schema, &row};
-        Result<Value> cond = EvalExpr(*stmt.where, env);
-        if (!cond.ok()) {
-          scan_status = cond.status();
-          return;
-        }
-        if (!IsTruthy(*cond)) return;
-      }
-      Target target;
-      target.shard = s;
-      target.seq = state != nullptr ? SeqOf(*state, row[state->pk_index])
-                                    : static_cast<uint64_t>(id);
-      target.old_row = row;
-      targets.push_back(std::move(target));
-    });
-    EASIA_RETURN_IF_ERROR(scan_status);
-  }
-  std::stable_sort(targets.begin(), targets.end(),
-                   [](const Target& x, const Target& y) {
-                     return x.seq < y.seq;
-                   });
+  EASIA_ASSIGN_OR_RETURN(std::vector<DmlTarget> targets,
+                         CollectDmlTargets(def, state, stmt.where.get()));
 
   // Validate sequentially in that order, tracking pk keys vacated and
   // taken by earlier targets — mirrors single-node row-at-a-time apply.
   std::set<std::string> vacated;
   std::set<std::string> taken;
-  for (Target& target : targets) {
-    Row new_row = target.old_row;
-    EvalEnv env{&schema, &target.old_row};
+  std::vector<Row> new_rows;
+  new_rows.reserve(targets.size());
+  for (const DmlTarget& target : targets) {
+    Row new_row = target.row;
+    EvalEnv env{&schema, &target.row};
     for (const auto& [idx, expr] : sets) {
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, env));
       new_row[idx] = std::move(v);
     }
     EASIA_ASSIGN_OR_RETURN(new_row, CoerceRowForTable(def, std::move(new_row)));
     EASIA_RETURN_IF_ERROR(CheckForeignKeys(def, new_row, {}));
-    EASIA_RETURN_IF_ERROR(CheckNoChildren(def, target.old_row, &new_row, {}));
+    EASIA_RETURN_IF_ERROR(CheckNoChildren(def, target.row, &new_row, {}));
     if (!def.primary_key.empty()) {
-      std::string old_key = PkKey(def, target.old_row);
+      std::string old_key = PkKey(def, target.row);
       std::string new_key = PkKey(def, new_row);
       if (new_key != old_key) {
         bool duplicate = taken.count(new_key) > 0;
@@ -1765,7 +1743,7 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
         taken.insert(new_key);
       }
     }
-    target.new_row = std::move(new_row);
+    new_rows.push_back(std::move(new_row));
   }
 
   if (targets.empty()) {
@@ -1794,16 +1772,18 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
   // the global sequence carried over (the row keeps its logical position,
   // like a single-node UPDATE keeps its RowId).
   size_t affected = 0;
-  for (Target& target : targets) {
-    const Value& old_pk = target.old_row[state->pk_index];
-    const Value& new_pk = target.new_row[state->pk_index];
+  for (size_t t = 0; t < targets.size(); ++t) {
+    const DmlTarget& target = targets[t];
+    const Row& new_row = new_rows[t];
+    const Value& old_pk = target.row[state->pk_index];
+    const Value& new_pk = new_row[state->pk_index];
     size_t destination = ShardOfValue(*state, new_pk);
     if (destination == target.shard) {
       std::string set_sql;
       for (const auto& [idx, expr] : sets) {
         if (!set_sql.empty()) set_sql += ", ";
         set_sql += def.columns[idx].name + " = " +
-                   RenderLiteral(target.new_row[idx]);
+                   RenderLiteral(new_row[idx]);
       }
       std::string row_sql = "UPDATE " + def.name + " SET " + set_sql +
                             " WHERE " + def.primary_key[0] + " = " +
@@ -1813,13 +1793,13 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
       (void)r;
     } else {
       EASIA_RETURN_IF_ERROR(
-          ShardWrite(target.shard, RenderPkDelete(def, target.old_row), ctx)
+          ShardWrite(target.shard, RenderPkDelete(def, target.row), ctx)
               .status());
       Result<QueryResult> inserted =
-          ShardWrite(destination, RenderInsert(def, target.new_row), ctx);
+          ShardWrite(destination, RenderInsert(def, new_row), ctx);
       if (!inserted.ok()) {
         // Best effort: put the old row back where it was.
-        (void)ShardWrite(target.shard, RenderInsert(def, target.old_row), ctx);
+        (void)ShardWrite(target.shard, RenderInsert(def, target.row), ctx);
         return inserted.status();
       }
       migrations_.fetch_add(1, std::memory_order_relaxed);
@@ -1843,47 +1823,13 @@ Result<QueryResult> ShardCoordinator::ExecDelete(const DeleteStmt& stmt,
   auto pit = part_.find(ToUpper(def.name));
   PartState* state = pit == part_.end() ? nullptr : &pit->second;
 
-  std::vector<ColumnBinding> schema;
-  for (const ColumnDef& col : def.columns) {
-    schema.push_back({def.name, col.name, col.type, &col});
-  }
-  struct Target {
-    uint64_t seq = 0;
-    Row row;
-  };
-  std::vector<Target> targets;
-  size_t scan_shards = state != nullptr ? shards_.size() : 1;
-  for (size_t s = 0; s < scan_shards; ++s) {
-    EASIA_ASSIGN_OR_RETURN(const Table* table, ShardTable(s, def.name));
-    Status scan_status = Status::OK();
-    table->ForEachRow([&](RowId id, const Row& row) {
-      if (!scan_status.ok()) return;
-      if (stmt.where != nullptr) {
-        EvalEnv env{&schema, &row};
-        Result<Value> cond = EvalExpr(*stmt.where, env);
-        if (!cond.ok()) {
-          scan_status = cond.status();
-          return;
-        }
-        if (!IsTruthy(*cond)) return;
-      }
-      Target target;
-      target.seq = state != nullptr ? SeqOf(*state, row[state->pk_index])
-                                    : static_cast<uint64_t>(id);
-      target.row = row;
-      targets.push_back(std::move(target));
-    });
-    EASIA_RETURN_IF_ERROR(scan_status);
-  }
-  std::stable_sort(targets.begin(), targets.end(),
-                   [](const Target& x, const Target& y) {
-                     return x.seq < y.seq;
-                   });
+  EASIA_ASSIGN_OR_RETURN(std::vector<DmlTarget> targets,
+                         CollectDmlTargets(def, state, stmt.where.get()));
   // RESTRICT checks in global order: a single-node DELETE removes rows
   // one at a time, so a child deleted earlier in the same statement no
   // longer blocks its parent.
   std::set<std::string> deleted_keys;
-  for (const Target& target : targets) {
+  for (const DmlTarget& target : targets) {
     EASIA_RETURN_IF_ERROR(
         CheckNoChildren(def, target.row, nullptr, deleted_keys));
     if (!def.primary_key.empty()) deleted_keys.insert(PkKey(def, target.row));

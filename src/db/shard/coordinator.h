@@ -189,6 +189,14 @@ class ShardCoordinator {
 
   struct SelectAnalysis;
 
+  /// One UPDATE/DELETE target row and the shard holding it.
+  struct DmlTarget {
+    size_t shard = 0;
+    /// Global insertion sequence (the shard-0 RowId for broadcast tables).
+    uint64_t seq = 0;
+    Row row;
+  };
+
   Result<QueryResult> ExecSelect(const SelectStmt& stmt,
                                  std::string_view sql, const ExecContext& ctx,
                                  bool explain, bool analyze);
@@ -225,6 +233,12 @@ class ShardCoordinator {
 
   size_t ShardOfValue(const PartState& state, const Value& pk) const;
   uint64_t SeqOf(const PartState& state, const Value& pk) const;
+  /// The rows `where` selects in table `def` (partitioned when `state` is
+  /// set), found on each shard through SelectDmlTargets and merged into
+  /// global insertion order — the order a single-node scan visits them in.
+  Result<std::vector<DmlTarget>> CollectDmlTargets(const TableDef& def,
+                                                   const PartState* state,
+                                                   const Expr* where) const;
   /// FK enforcement across shards, mirroring Database's single-node
   /// messages (the shard databases run with enforce_foreign_keys off).
   Status CheckForeignKeys(const TableDef& def, const Row& row,

@@ -469,15 +469,59 @@ Result<std::vector<RowId>> Table::FindByIndex(
   return ids;
 }
 
-bool Table::AnyRowWithValue(size_t column_index, const Value& value) const {
-  bool found = false;
-  ForEachRow([&](RowId /*id*/, const Row& row) {
-    if (found) return;
-    if (!row[column_index].is_null() && row[column_index].Equals(value)) {
-      found = true;
+bool Table::AnyRowWithValue(
+    size_t column_index, const Value& value,
+    const std::function<bool(const Row&)>& accept) const {
+  if (value.is_null()) return false;  // SQL equality never matches NULL
+  auto matches = [&](const Row& row) {
+    return !row[column_index].is_null() && row[column_index].Equals(value) &&
+           (accept == nullptr || accept(row));
+  };
+  // Index hits are re-checked on the row: distinct int64 values past 2^53
+  // can share a key.
+  auto hit = [&](RowId id) {
+    Result<Row> row = Get(id);
+    return row.ok() && matches(*row);
+  };
+  // Within one comparison family equal values share an index key once the
+  // probe has the column's type; across families Value::Compare falls back
+  // to display form, which the key encoding does not model.
+  DataType type = def_.columns[column_index].type;
+  bool numeric_column = type == DataType::kInteger ||
+                        type == DataType::kDouble ||
+                        type == DataType::kTimestamp;
+  Result<Value> probe = value.CoerceTo(type);
+  if (probe.ok() && value.IsNumericKind() == numeric_column) {
+    const std::vector<size_t> cols = {column_index};
+    std::string key;
+    PutLengthPrefixed(&key, probe->ToKeyString());
+    for (const UniqueIndex& index : indexes_) {
+      if (index.column_indexes != cols) continue;
+      auto it = index.entries.find(key);
+      return it != index.entries.end() && hit(it->second);
     }
-  });
-  return found;
+    for (const SecondaryIndex& index : secondary_indexes_) {
+      if (index.column_indexes != cols) continue;
+      auto range = index.entries.equal_range(key);
+      for (auto it = range.first; it != range.second; ++it) {
+        if (hit(it->second)) return true;
+      }
+      return false;
+    }
+  }
+  if (column_store_ == nullptr) {
+    for (const auto& [id, row] : rows_) {
+      if (matches(row)) return true;
+    }
+    return false;
+  }
+  store::ColPredicate not_null;
+  not_null.column = column_index;
+  not_null.op = store::ColPredicate::Op::kIsNotNull;
+  for (RowId id : column_store_->FilterScan({not_null})) {
+    if (hit(id)) return true;
+  }
+  return false;
 }
 
 const store::RadixIndex* Table::FindRadix(std::string_view column) const {

@@ -94,8 +94,15 @@ class Table {
   Result<RowId> FindUnique(const std::vector<std::string>& columns,
                            const std::vector<Value>& key_values) const;
 
-  /// True if any row has `value` in column `column_index`.
-  bool AnyRowWithValue(size_t column_index, const Value& value) const;
+  /// True if some row holds a value equal to `value` in column
+  /// `column_index` (and passes `accept`, when given) — the RESTRICT probe.
+  /// Answers from a unique or secondary index over exactly that column,
+  /// probing with `value` coerced to the column's type. A value of the
+  /// other comparison family (numeric vs string), or a column no index
+  /// covers, is scanned instead, stopping at the first hit.
+  bool AnyRowWithValue(
+      size_t column_index, const Value& value,
+      const std::function<bool(const Row&)>& accept = nullptr) const;
 
   /// Column-name lists of the unique indexes (primary key first) and the
   /// non-unique secondary indexes, for planner access-path selection.

@@ -16,6 +16,7 @@ Status DataLinker::PrepareLink(uint64_t txn_id,
     if (it->second.state == LinkEntry::State::kUnlinkPending &&
         it->second.txn_id == txn_id) {
       it->second.state = LinkEntry::State::kLinked;
+      DropPending(txn_id, path);
       return Status::OK();
     }
     return Status::AlreadyExists("datalink: file already linked: " + path);
@@ -25,6 +26,7 @@ Status DataLinker::PrepareLink(uint64_t txn_id,
   entry.txn_id = txn_id;
   entry.options = options;
   links_[path] = entry;
+  pending_[txn_id].insert(path);
   return Status::OK();
 }
 
@@ -40,6 +42,7 @@ Status DataLinker::PrepareUnlink(uint64_t txn_id,
       it->second.txn_id == txn_id) {
     // Link and unlink inside one transaction cancel out.
     links_.erase(it);
+    DropPending(txn_id, path);
     return Status::OK();
   }
   if (it->second.state != LinkEntry::State::kLinked) {
@@ -49,59 +52,61 @@ Status DataLinker::PrepareUnlink(uint64_t txn_id,
   }
   it->second.state = LinkEntry::State::kUnlinkPending;
   it->second.txn_id = txn_id;
+  pending_[txn_id].insert(path);
   return Status::OK();
 }
 
+void DataLinker::DropPending(uint64_t txn_id, const std::string& path) {
+  auto it = pending_.find(txn_id);
+  if (it == pending_.end()) return;
+  it->second.erase(path);
+  if (it->second.empty()) pending_.erase(it);
+}
+
 void DataLinker::CommitTxn(uint64_t txn_id) {
-  for (auto it = links_.begin(); it != links_.end();) {
+  auto pending = pending_.extract(txn_id);
+  if (pending.empty()) return;
+  for (const std::string& path : pending.mapped()) {
+    auto it = links_.find(path);
+    if (it == links_.end()) continue;
     LinkEntry& entry = it->second;
-    if (entry.txn_id != txn_id) {
-      ++it;
-      continue;
-    }
     switch (entry.state) {
       case LinkEntry::State::kLinkPending:
         entry.state = LinkEntry::State::kLinked;
         if (entry.options.file_link_control) {
-          (void)server_->storage().Pin(it->first);
+          (void)server_->storage().Pin(path);
         }
-        ++it;
         break;
-      case LinkEntry::State::kUnlinkPending: {
+      case LinkEntry::State::kUnlinkPending:
         if (entry.options.file_link_control) {
-          (void)server_->storage().Unpin(it->first);
+          (void)server_->storage().Unpin(path);
         }
         if (entry.options.on_unlink ==
             db::DatalinkOptions::OnUnlink::kDelete) {
-          (void)server_->storage().DeleteFile(it->first);
+          (void)server_->storage().DeleteFile(path);
         }
-        it = links_.erase(it);
+        links_.erase(it);
         break;
-      }
       case LinkEntry::State::kLinked:
-        ++it;
         break;
     }
   }
 }
 
 void DataLinker::AbortTxn(uint64_t txn_id) {
-  for (auto it = links_.begin(); it != links_.end();) {
-    LinkEntry& entry = it->second;
-    if (entry.txn_id != txn_id) {
-      ++it;
-      continue;
-    }
-    switch (entry.state) {
+  auto pending = pending_.extract(txn_id);
+  if (pending.empty()) return;
+  for (const std::string& path : pending.mapped()) {
+    auto it = links_.find(path);
+    if (it == links_.end()) continue;
+    switch (it->second.state) {
       case LinkEntry::State::kLinkPending:
-        it = links_.erase(it);
+        links_.erase(it);
         break;
       case LinkEntry::State::kUnlinkPending:
-        entry.state = LinkEntry::State::kLinked;
-        ++it;
+        it->second.state = LinkEntry::State::kLinked;
         break;
       case LinkEntry::State::kLinked:
-        ++it;
         break;
     }
   }
@@ -128,6 +133,9 @@ void DataLinker::ForgetLink(const std::string& path) {
   if (it->second.options.file_link_control) {
     (void)server_->storage().Unpin(path);  // no-op when the file is gone
   }
+  if (it->second.state != LinkEntry::State::kLinked) {
+    DropPending(it->second.txn_id, path);
+  }
   links_.erase(it);
 }
 
@@ -141,9 +149,7 @@ std::vector<std::string> DataLinker::LinkedPaths() const {
 
 size_t DataLinker::PendingCount() const {
   size_t n = 0;
-  for (const auto& [path, entry] : links_) {
-    if (entry.state != LinkEntry::State::kLinked) ++n;
-  }
+  for (const auto& [txn_id, paths] : pending_) n += paths.size();
   return n;
 }
 

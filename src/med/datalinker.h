@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,9 @@ class DataLinker {
   Status PrepareUnlink(uint64_t txn_id, const db::DatalinkOptions& options,
                        const std::string& path);
 
-  /// Phase two: commits / aborts every pending entry of `txn_id`.
+  /// Phase two: commits / aborts every pending entry of `txn_id`. Both
+  /// visit only that transaction's pending paths (in path order), so their
+  /// cost is independent of how many files are linked.
   void CommitTxn(uint64_t txn_id);
   void AbortTxn(uint64_t txn_id);
 
@@ -75,8 +78,15 @@ class DataLinker {
                        validate) const;
 
  private:
+  /// Removes `path` from `txn_id`'s pending record (a cancelled change).
+  void DropPending(uint64_t txn_id, const std::string& path);
+
   fs::FileServer* server_;
   std::map<std::string, LinkEntry> links_;
+  /// Paths whose entry is kLinkPending or kUnlinkPending, by the owning
+  /// transaction. Exact: a path is listed iff its entry is pending for that
+  /// transaction, so the record is empty between statements.
+  std::map<uint64_t, std::set<std::string>> pending_;
 };
 
 }  // namespace easia::med

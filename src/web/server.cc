@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <thread>
 #include <utility>
 
@@ -30,6 +31,58 @@ constexpr const char* kRoutes[] = {
     "/upload",      "/jobs/submit", "/jobs/status", "/jobs/list",
     "/jobs/cancel", "/xuis",        "/stats",     "/metrics",
     "/users",       "other"};
+
+/// The WHERE clause naming one row of `table` for /object and /object/put:
+/// each primary-key column of the XUIS table exactly once, from the
+/// request's pkN.<column> parameters. Only XUIS column names and escaped
+/// string literals that coerce to the column's type reach the SQL, so the
+/// statement always takes the unique-index lookup. An unknown, repeated
+/// or missing key column (or an uncoercible value) is kInvalidArgument; a
+/// hidden key column is kPermissionDenied.
+Result<std::string> PrimaryKeyPredicate(const xuis::XuisTable& table,
+                                        const fs::HttpParams& params) {
+  std::map<const xuis::XuisColumn*, std::string> values;
+  for (const auto& [key, value] : params) {
+    if (!StartsWith(key, "pk")) continue;
+    size_t dot = key.find('.');
+    if (dot == std::string::npos) continue;
+    const xuis::XuisColumn* col = table.FindColumn(key.substr(dot + 1));
+    if (col == nullptr || !col->is_primary_key) {
+      return Status::InvalidArgument("not a primary-key column of " +
+                                     table.name + ": " + key.substr(dot + 1));
+    }
+    if (col->hidden) {
+      return Status::PermissionDenied("column " + col->name + " is hidden");
+    }
+    if (!values.emplace(col, value).second) {
+      return Status::InvalidArgument("primary-key column given twice: " +
+                                     col->name);
+    }
+  }
+  std::vector<std::string> predicates;
+  for (const xuis::XuisColumn& col : table.columns) {
+    if (!col.is_primary_key) continue;
+    auto it = values.find(&col);
+    if (it == values.end()) {
+      return Status::InvalidArgument("missing primary key " + col.name);
+    }
+    if (!db::Value::Varchar(it->second).CoerceTo(col.type).ok()) {
+      return Status::InvalidArgument("bad primary key value for " + col.name);
+    }
+    predicates.push_back(col.name + " = '" +
+                         ReplaceAll(it->second, "'", "''") + "'");
+  }
+  if (predicates.empty()) {
+    return Status::InvalidArgument("table " + table.name +
+                                   " has no primary key");
+  }
+  return Join(predicates, " AND ");
+}
+
+/// 403 for a visibility refusal, 400 for any other bad request.
+int RequestErrorStatus(const Status& status) {
+  return status.IsPermissionDenied() ? 403 : 400;
+}
 
 constexpr const char kHttpRequestsHelp[] =
     "HTTP requests served, by route and status code";
@@ -398,8 +451,7 @@ HttpResponse ArchiveWebServer::HandleBrowse(const HttpRequest& request,
     const xuis::XuisSpec& spec = deps_.xuis->For(session.user.name);
     Result<std::string> sql = BrowseSql(spec, table_name, column, value);
     if (!sql.ok()) {
-      int status = sql.status().IsPermissionDenied() ? 403 : 400;
-      return Error(status, sql.status().ToString());
+      return Error(RequestErrorStatus(sql.status()), sql.status().ToString());
     }
     const xuis::XuisTable* table = spec.FindTable(table_name);
     return RenderQuery(*sql, table, session, ticket.db);
@@ -451,23 +503,22 @@ HttpResponse ArchiveWebServer::HandleTypeahead(const HttpRequest& request,
 HttpResponse ArchiveWebServer::HandleObject(const HttpRequest& request,
                                             const Session& session) {
   const xuis::XuisSpec& spec = deps_.xuis->For(session.user.name);
-  std::string table_name = ParamOr(request.params, "table");
-  std::string column = ParamOr(request.params, "column");
-  const xuis::XuisTable* table = spec.FindTable(table_name);
+  const xuis::XuisTable* table =
+      spec.FindTable(ParamOr(request.params, "table"));
   if (table == nullptr) return Error(404, "no such table");
-  // Rebuild the primary-key predicate from pkN.<col> parameters.
-  std::vector<std::string> predicates;
-  for (const auto& [key, value] : request.params) {
-    if (!StartsWith(key, "pk")) continue;
-    size_t dot = key.find('.');
-    if (dot == std::string::npos) continue;
-    std::string pk_column = key.substr(dot + 1);
-    predicates.push_back(pk_column + " = '" +
-                         ReplaceAll(value, "'", "''") + "'");
+  const xuis::XuisColumn* col =
+      table->FindColumn(ParamOr(request.params, "column"));
+  if (col == nullptr) return Error(404, "no such column");
+  if (table->hidden || col->hidden) {
+    return Error(403, "object is hidden from this interface");
   }
-  if (predicates.empty()) return Error(400, "missing primary key");
-  std::string sql = "SELECT " + column + " FROM " + table_name + " WHERE " +
-                    Join(predicates, " AND ");
+  Result<std::string> where = PrimaryKeyPredicate(*table, request.params);
+  if (!where.ok()) {
+    return Error(RequestErrorStatus(where.status()),
+                 where.status().ToString());
+  }
+  std::string sql =
+      "SELECT " + col->name + " FROM " + table->name + " WHERE " + *where;
   db::ExecContext exec;
   exec.user = session.user.name;
   // Object reads route like every other read: a stale-bounded replica
@@ -498,28 +549,27 @@ HttpResponse ArchiveWebServer::HandleObjectPut(const HttpRequest& request,
     return Error(403, "object upload requires an authorised account");
   }
   const xuis::XuisSpec& spec = deps_.xuis->For(session.user.name);
-  std::string table_name = ParamOr(request.params, "table");
-  std::string column = ParamOr(request.params, "column");
+  const xuis::XuisTable* table =
+      spec.FindTable(ParamOr(request.params, "table"));
   const xuis::XuisColumn* col =
-      spec.FindColumnById(table_name + "." + column);
+      table == nullptr ? nullptr
+                       : table->FindColumn(ParamOr(request.params, "column"));
   if (col == nullptr) return Error(404, "no such column");
+  if (table->hidden || col->hidden) {
+    return Error(403, "object is hidden from this interface");
+  }
   if (col->type != db::DataType::kBlob &&
       col->type != db::DataType::kClob) {
     return Error(400, "column is not a BLOB/CLOB");
   }
-  std::vector<std::string> predicates;
-  for (const auto& [key, value] : request.params) {
-    if (!StartsWith(key, "pk")) continue;
-    size_t dot = key.find('.');
-    if (dot == std::string::npos) continue;
-    predicates.push_back(key.substr(dot + 1) + " = '" +
-                         ReplaceAll(value, "'", "''") + "'");
+  Result<std::string> where = PrimaryKeyPredicate(*table, request.params);
+  if (!where.ok()) {
+    return Error(RequestErrorStatus(where.status()),
+                 where.status().ToString());
   }
-  if (predicates.empty()) return Error(400, "missing primary key");
   std::string value = ParamOr(request.params, "value");
-  std::string sql = "UPDATE " + table_name + " SET " + column + " = '" +
-                    ReplaceAll(value, "'", "''") + "' WHERE " +
-                    Join(predicates, " AND ");
+  std::string sql = "UPDATE " + table->name + " SET " + col->name + " = '" +
+                    ReplaceAll(value, "'", "''") + "' WHERE " + *where;
   db::ExecContext exec;
   exec.user = session.user.name;
   Result<db::QueryResult> result = ExecuteDml(sql, exec);
@@ -539,7 +589,7 @@ HttpResponse ArchiveWebServer::HandleObjectPut(const HttpRequest& request,
   HttpResponse resp;
   resp.body = PageHeader("Object stored") +
               StrPrintf("<p>%zu bytes stored in %s.%s</p>", value.size(),
-                        table_name.c_str(), column.c_str()) +
+                        table->name.c_str(), col->name.c_str()) +
               PageFooter();
   return resp;
 }

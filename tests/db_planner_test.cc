@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -285,6 +286,179 @@ TEST_F(PlannerTest, LimitShortCircuitReturnsCorrectRows) {
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0][0].AsString(), "D4");
 }
+
+// --- UPDATE/DELETE target selection (SelectDmlTargets) ---
+
+/// The same catalogue as a row store and as a columnar table (the bool
+/// parameter): RESULT has a composite primary key and an FK secondary
+/// index on SIM_KEY; the columnar twin adds radix indexes on its VARCHAR
+/// columns and the filter kernel.
+class DmlTargetTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    db_ = std::make_unique<Database>("DML");
+    std::string layout = GetParam() ? " STORE COLUMNAR" : "";
+    Exec("CREATE TABLE SIM (SIM_KEY INTEGER NOT NULL, TITLE VARCHAR(40),"
+         " PRIMARY KEY (SIM_KEY))" + layout);
+    Exec("CREATE TABLE RESULT (FILE_NAME VARCHAR(40) NOT NULL,"
+         " SIM_KEY INTEGER NOT NULL, MEASUREMENT VARCHAR(30), SIZE_MB DOUBLE,"
+         " PRIMARY KEY (FILE_NAME, SIM_KEY),"
+         " FOREIGN KEY (SIM_KEY) REFERENCES SIM (SIM_KEY))" + layout);
+    for (int s = 1; s <= 4; ++s) {
+      Exec("INSERT INTO SIM VALUES (" + std::to_string(s) + ", 'sim')");
+    }
+    const char* kinds[] = {"pressure", "velocity", "vorticity"};
+    for (int i = 0; i < 60; ++i) {
+      std::string size = i % 9 == 0 ? "NULL" : std::to_string(i * 1.5);
+      Exec("INSERT INTO RESULT VALUES ('f" + std::to_string(i % 20) + "', " +
+           std::to_string(1 + i / 20) + ", '" + kinds[i % 3] + "', " + size +
+           ")");
+    }
+    // Churn so RowIds have gaps and index entries were moved.
+    Exec("DELETE FROM RESULT WHERE FILE_NAME = 'f5'");
+    Exec("UPDATE RESULT SET SIM_KEY = 4"
+         " WHERE FILE_NAME = 'f7' AND SIM_KEY = 1");
+  }
+
+  void Exec(const std::string& sql) {
+    Result<QueryResult> r = db_->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  }
+
+  /// Selects the targets of `DELETE FROM RESULT WHERE <where>`, checks them
+  /// against a naive full scan (same RowIds, same order) and returns the
+  /// chosen access path.
+  ScanPlan::Access Targets(const std::string& where, bool* kernel = nullptr) {
+    SCOPED_TRACE(where);
+    Result<Statement> stmt = ParseSql("DELETE FROM RESULT WHERE " + where);
+    EXPECT_TRUE(stmt.ok()) << stmt.status().ToString();
+    const Table* table = *db_->GetTable("RESULT");
+    const Expr& expr = *stmt->del->where;
+    std::vector<ColumnBinding> schema = TableSchema(table->def(), "RESULT");
+    std::vector<RowId> naive;
+    table->ForEachRow([&](RowId id, const Row& row) {
+      EvalEnv env{&schema, &row};
+      Result<Value> v = EvalExpr(expr, env);
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      if (IsTruthy(*v)) naive.push_back(id);
+    });
+    Result<DmlTargets> targets = SelectDmlTargets(*table, &expr);
+    EXPECT_TRUE(targets.ok()) << targets.status().ToString();
+    if (!targets.ok()) return ScanPlan::Access::kSeqScan;
+    EXPECT_EQ(targets->row_ids, naive);
+    EXPECT_TRUE(std::is_sorted(targets->row_ids.begin(),
+                               targets->row_ids.end()));
+    if (kernel != nullptr) *kernel = targets->scan.kernel_filter;
+    return targets->scan.access;
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_P(DmlTargetTest, FullPrimaryKeyTakesTheUniqueLookup) {
+  EXPECT_EQ(Targets("FILE_NAME = 'f3' AND SIM_KEY = 2"),
+            ScanPlan::Access::kUniqueLookup);
+  EXPECT_EQ(Targets("SIM_KEY = 2 AND FILE_NAME = 'f3'"),
+            ScanPlan::Access::kUniqueLookup);
+  // Extra conjuncts are still evaluated on the looked-up row.
+  EXPECT_EQ(Targets("SIM_KEY = 2 AND FILE_NAME = 'f3' AND SIZE_MB < 0"),
+            ScanPlan::Access::kUniqueLookup);
+  EXPECT_EQ(Targets("FILE_NAME = 'nope' AND SIM_KEY = 2"),
+            ScanPlan::Access::kUniqueLookup);
+}
+
+TEST_P(DmlTargetTest, ForeignKeyEqualityTakesTheSecondaryIndex) {
+  EXPECT_EQ(Targets("SIM_KEY = 4"), ScanPlan::Access::kIndexScan);
+  EXPECT_EQ(Targets("SIM_KEY = 1 AND MEASUREMENT = 'velocity'"),
+            ScanPlan::Access::kIndexScan);
+}
+
+TEST_P(DmlTargetTest, ColumnarPrefixAndRangeUseRadixAndKernel) {
+  bool kernel = false;
+  ScanPlan::Access prefix = Targets("MEASUREMENT LIKE 'p%'", &kernel);
+  ScanPlan::Access range = Targets("SIZE_MB > 30 AND SIZE_MB <= 60", &kernel);
+  if (GetParam()) {
+    EXPECT_EQ(prefix, ScanPlan::Access::kPrefixScan);
+    EXPECT_EQ(range, ScanPlan::Access::kSeqScan);
+    EXPECT_TRUE(kernel);
+  } else {
+    EXPECT_EQ(prefix, ScanPlan::Access::kSeqScan);
+    EXPECT_EQ(range, ScanPlan::Access::kSeqScan);
+    EXPECT_FALSE(kernel);
+  }
+  EXPECT_EQ(Targets("SIZE_MB IS NULL", &kernel), ScanPlan::Access::kSeqScan);
+  EXPECT_EQ(kernel, GetParam());
+}
+
+TEST_P(DmlTargetTest, OrAndMissingWhereScan) {
+  bool kernel = true;
+  EXPECT_EQ(Targets("SIM_KEY = 1 OR SIM_KEY = 3", &kernel),
+            ScanPlan::Access::kSeqScan);
+  EXPECT_FALSE(kernel);
+  const Table* table = *db_->GetTable("RESULT");
+  Result<DmlTargets> all = SelectDmlTargets(*table, nullptr);
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->scan.access, ScanPlan::Access::kSeqScan);
+  EXPECT_EQ(all->row_ids.size(), table->RowCount());
+}
+
+TEST_P(DmlTargetTest, UnresolvedColumnKeepsTheFullScan) {
+  // With the key conjuncts alone the index finds no candidate and would
+  // never evaluate the bad reference; the full scan reports it on the
+  // first row, as the unplanned UPDATE/DELETE always did.
+  const Table* table = *db_->GetTable("RESULT");
+  std::vector<ColumnBinding> schema = TableSchema(table->def(), "RESULT");
+  for (const char* where :
+       {"FILE_NAME = 'nope' AND SIM_KEY = 2 AND NOPE = 1",
+        "SIM_KEY = 99 AND OTHER.SIM_KEY = 1"}) {
+    SCOPED_TRACE(where);
+    std::string sql = std::string("DELETE FROM RESULT WHERE ") + where;
+    Result<Statement> stmt = ParseSql(sql);
+    ASSERT_TRUE(stmt.ok());
+    const Expr& expr = *stmt->del->where;
+    Status first_error = Status::OK();
+    table->ForEachRow([&](RowId, const Row& row) {
+      EvalEnv env{&schema, &row};
+      Result<Value> v = EvalExpr(expr, env);
+      if (first_error.ok() && !v.ok()) first_error = v.status();
+    });
+    ASSERT_FALSE(first_error.ok());
+    Result<DmlTargets> targets = SelectDmlTargets(*table, &expr);
+    ASSERT_FALSE(targets.ok());
+    EXPECT_EQ(targets.status().ToString(), first_error.ToString());
+    EXPECT_EQ(db_->Execute(sql).status().ToString(), first_error.ToString());
+  }
+}
+
+TEST_P(DmlTargetTest, RestrictProbeKeepsEqualitySemantics) {
+  const Table* result = *db_->GetTable("RESULT");
+  size_t sim_key = *result->def().ColumnIndex("SIM_KEY");
+  EXPECT_TRUE(result->AnyRowWithValue(sim_key, Value::Integer(4)));
+  // Numeric family: a DOUBLE probe coerces to the INTEGER column.
+  EXPECT_TRUE(result->AnyRowWithValue(sim_key, Value::Double(2.0)));
+  EXPECT_FALSE(result->AnyRowWithValue(sim_key, Value::Double(2.5)));
+  EXPECT_FALSE(result->AnyRowWithValue(sim_key, Value::Integer(9)));
+  EXPECT_FALSE(result->AnyRowWithValue(sim_key, Value::Null()));
+  // Mixed families compare by display form: scanned, still exact.
+  EXPECT_TRUE(result->AnyRowWithValue(sim_key, Value::Varchar("3")));
+  EXPECT_FALSE(result->AnyRowWithValue(sim_key, Value::Varchar("03")));
+  // `accept` filters index hits: every SIM_KEY = 2 row is excluded.
+  EXPECT_FALSE(result->AnyRowWithValue(
+      sim_key, Value::Integer(2),
+      [](const Row& row) { return row[1].AsInt() != 2; }));
+  // RESTRICT refuses the parent delete until its children are gone.
+  Result<QueryResult> refused =
+      db_->Execute("DELETE FROM SIM WHERE SIM_KEY = 4");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.status().message().find("RESTRICT"), std::string::npos);
+  Exec("DELETE FROM RESULT WHERE SIM_KEY = 4");
+  Exec("DELETE FROM SIM WHERE SIM_KEY = 4");
+}
+
+INSTANTIATE_TEST_SUITE_P(Layouts, DmlTargetTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Columnar" : "RowStore";
+                         });
 
 }  // namespace
 }  // namespace easia::db

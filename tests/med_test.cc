@@ -176,6 +176,80 @@ TEST_F(DataLinkerTest, OnUnlinkDeleteRemovesFile) {
   EXPECT_FALSE(server_.vfs().Exists("/data/f1.tbf"));
 }
 
+TEST_F(DataLinkerTest, InterleavedTransactionsFinishIndependently) {
+  // Txn 1 relinks f1 -> f2 and is committed; txn 2, interleaved with it,
+  // links f3 and ON UNLINK DELETE-unlinks f4, and is aborted. Each
+  // finish touches only its own entries.
+  ASSERT_TRUE(server_.vfs().WriteFile("/data/f3.tbf", "bytes").ok());
+  ASSERT_TRUE(server_.vfs().WriteFile("/data/f4.tbf", "bytes").ok());
+  db::DatalinkOptions delete_on_unlink = options_;
+  delete_on_unlink.on_unlink = db::DatalinkOptions::OnUnlink::kDelete;
+  ASSERT_TRUE(linker_.PrepareLink(10, options_, "/data/f1.tbf").ok());
+  ASSERT_TRUE(linker_.PrepareLink(10, delete_on_unlink, "/data/f4.tbf").ok());
+  linker_.CommitTxn(10);
+  EXPECT_EQ(linker_.PendingCount(), 0u);
+
+  ASSERT_TRUE(linker_.PrepareUnlink(1, options_, "/data/f1.tbf").ok());
+  ASSERT_TRUE(linker_.PrepareLink(2, options_, "/data/f3.tbf").ok());
+  ASSERT_TRUE(linker_.PrepareLink(1, options_, "/data/f2.tbf").ok());
+  ASSERT_TRUE(
+      linker_.PrepareUnlink(2, delete_on_unlink, "/data/f4.tbf").ok());
+  EXPECT_EQ(linker_.PendingCount(), 4u);
+  // Neither transaction may take the other's pending path.
+  EXPECT_EQ(linker_.PrepareUnlink(1, options_, "/data/f3.tbf").code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(linker_.PrepareLink(2, options_, "/data/f2.tbf").code(),
+            StatusCode::kAlreadyExists);
+
+  linker_.CommitTxn(1);
+  EXPECT_EQ(linker_.PendingCount(), 2u);
+  EXPECT_FALSE(linker_.IsLinked("/data/f1.tbf"));
+  EXPECT_FALSE(server_.vfs().IsPinned("/data/f1.tbf"));
+  EXPECT_TRUE(linker_.IsLinked("/data/f2.tbf"));
+  EXPECT_TRUE(server_.vfs().IsPinned("/data/f2.tbf"));
+  // Txn 2's entries are untouched by txn 1's commit.
+  EXPECT_FALSE(linker_.IsLinked("/data/f3.tbf"));
+  EXPECT_TRUE(server_.vfs().IsPinned("/data/f4.tbf"));
+
+  linker_.AbortTxn(2);
+  EXPECT_EQ(linker_.PendingCount(), 0u);
+  EXPECT_FALSE(linker_.IsLinked("/data/f3.tbf"));
+  EXPECT_FALSE(server_.vfs().IsPinned("/data/f3.tbf"));
+  // The aborted ON UNLINK DELETE kept both the link and the file.
+  EXPECT_TRUE(linker_.IsLinked("/data/f4.tbf"));
+  EXPECT_TRUE(server_.vfs().Exists("/data/f4.tbf"));
+  EXPECT_TRUE(server_.vfs().IsPinned("/data/f4.tbf"));
+  // Finishing an unknown or already finished transaction is a no-op.
+  linker_.CommitTxn(1);
+  linker_.AbortTxn(99);
+  EXPECT_TRUE(linker_.IsLinked("/data/f2.tbf"));
+  EXPECT_TRUE(linker_.IsLinked("/data/f4.tbf"));
+}
+
+TEST_F(DataLinkerTest, CancelledChangesLeaveNothingPending) {
+  // Link then unlink in one transaction cancels before the commit.
+  ASSERT_TRUE(linker_.PrepareLink(1, options_, "/data/f1.tbf").ok());
+  ASSERT_TRUE(linker_.PrepareUnlink(1, options_, "/data/f1.tbf").ok());
+  EXPECT_EQ(linker_.PendingCount(), 0u);
+  // Unlink then relink of a committed link in one transaction keeps it.
+  ASSERT_TRUE(linker_.PrepareLink(2, options_, "/data/f2.tbf").ok());
+  linker_.CommitTxn(2);
+  ASSERT_TRUE(linker_.PrepareUnlink(3, options_, "/data/f2.tbf").ok());
+  EXPECT_EQ(linker_.PendingCount(), 1u);
+  ASSERT_TRUE(linker_.PrepareLink(3, options_, "/data/f2.tbf").ok());
+  EXPECT_EQ(linker_.PendingCount(), 0u);
+  linker_.CommitTxn(3);
+  linker_.CommitTxn(1);
+  EXPECT_FALSE(linker_.IsLinked("/data/f1.tbf"));
+  EXPECT_FALSE(server_.vfs().IsPinned("/data/f1.tbf"));
+  EXPECT_TRUE(linker_.IsLinked("/data/f2.tbf"));
+  EXPECT_TRUE(server_.vfs().IsPinned("/data/f2.tbf"));
+  // The cancelled path is free for another transaction.
+  ASSERT_TRUE(linker_.PrepareLink(4, options_, "/data/f1.tbf").ok());
+  linker_.AbortTxn(4);
+  EXPECT_EQ(linker_.PendingCount(), 0u);
+}
+
 // ---- DataLinkManager + Database integration ----
 
 class MedIntegrationTest : public ::testing::Test {

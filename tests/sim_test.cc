@@ -46,6 +46,14 @@ struct PaperRow {
   const char* expected;
 };
 
+// The test's listed name carries this text. Without it googletest prints the
+// struct's raw bytes, pointers included, which change from process to process.
+void PrintTo(const PaperRow& row, std::ostream* os) {
+  *os << row.when
+      << (row.to_southampton ? "_to_southampton_" : "_from_southampton_")
+      << row.bytes / kMegabyte << "MB";
+}
+
 class PaperTableTest : public ::testing::TestWithParam<PaperRow> {};
 
 TEST_P(PaperTableTest, MatchesPaperCell) {

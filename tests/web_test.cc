@@ -446,6 +446,99 @@ TEST_F(WebTest, ClobRematerialisation) {
             std::string::npos);
 }
 
+TEST_F(WebTest, ObjectPutRejectsSqlInKeyParameter) {
+  // A pkN.<col> key is a column name, never SQL: a key that smuggles in a
+  // tautology is refused before anything executes.
+  uint64_t statements = archive_->database().stats().statements;
+  auto put = archive_->Get(
+      alice_, "/object/put",
+      {{"table", "SIMULATION"},
+       {"column", "DESCRIPTION"},
+       {"pk0.SIMULATION_KEY IS NOT NULL OR SIMULATION_KEY", "x"},
+       {"value", "overwritten"}});
+  EXPECT_EQ(put.status, 400) << put.body;
+  EXPECT_EQ(archive_->database().stats().statements, statements);
+  auto overwritten = archive_->Execute(
+      "SELECT COUNT(*) FROM SIMULATION WHERE DESCRIPTION = 'overwritten'");
+  ASSERT_TRUE(overwritten.ok());
+  EXPECT_EQ(overwritten->rows[0][0].AsInt(), 0);
+}
+
+TEST_F(WebTest, ObjectKeyMustNameEachPrimaryKeyColumnOnce) {
+  const std::string& key = seeded_[0].simulation_key;
+  auto get = [&](fs::HttpParams params) {
+    params["table"] = "SIMULATION";
+    params["column"] = "DESCRIPTION";
+    return archive_->Get(alice_, "/object", params).status;
+  };
+  auto put = [&](fs::HttpParams params) {
+    params["table"] = "SIMULATION";
+    params["column"] = "DESCRIPTION";
+    params["value"] = "edited";
+    return archive_->Get(alice_, "/object/put", params).status;
+  };
+  // Unknown column, a non-key column, a repeated key column, no key.
+  for (const fs::HttpParams& params :
+       {fs::HttpParams{{"pk0.NOPE", key}},
+        fs::HttpParams{{"pk0.SIMULATION_KEY", key}, {"pk1.TITLE", "x"}},
+        fs::HttpParams{{"pk0.SIMULATION_KEY", key},
+                       {"pk1.simulation_key", key}},
+        fs::HttpParams{}}) {
+    EXPECT_EQ(get(params), 400);
+    EXPECT_EQ(put(params), 400);
+  }
+  // Composite keys need every column: RESULT_FILE is keyed by
+  // (FILE_NAME, SIMULATION_KEY).
+  auto partial = archive_->Get(alice_, "/object",
+                               {{"table", "RESULT_FILE"},
+                                {"column", "MEASUREMENT"},
+                                {"pk1.SIMULATION_KEY", key}});
+  EXPECT_EQ(partial.status, 400) << partial.body;
+  // The valid path writes exactly the named row.
+  ASSERT_EQ(put({{"pk0.SIMULATION_KEY", key}}), 200);
+  auto edited = archive_->Execute(
+      "SELECT SIMULATION_KEY FROM SIMULATION WHERE DESCRIPTION = 'edited'");
+  ASSERT_TRUE(edited.ok());
+  ASSERT_EQ(edited->rows.size(), 1u);
+  EXPECT_EQ(edited->rows[0][0].AsString(), key);
+  EXPECT_EQ(get({{"pk0.SIMULATION_KEY", key}}), 200);
+  EXPECT_EQ(get({{"pk0.SIMULATION_KEY", "NOPE"}}), 404);
+}
+
+TEST_F(WebTest, ObjectRespectsHiddenTablesAndColumns) {
+  fs::HttpParams email = {{"table", "AUTHOR"},
+                          {"column", "EMAIL"},
+                          {"pk0.AUTHOR_KEY", seeded_[0].author_key}};
+  ASSERT_EQ(archive_->Get(alice_, "/object", email).status, 200);
+  xuis::XuisCustomizer c(archive_->xuis().MutableDefault());
+  ASSERT_TRUE(c.HideColumn("AUTHOR.EMAIL").ok());
+  auto hidden_col = archive_->Get(alice_, "/object", email);
+  EXPECT_EQ(hidden_col.status, 403) << hidden_col.body;
+  EXPECT_EQ(hidden_col.body.find("@example"), std::string::npos);
+  // A hidden key column may not select the row either.
+  ASSERT_TRUE(c.HideColumn("AUTHOR.AUTHOR_KEY").ok());
+  EXPECT_EQ(archive_->Get(alice_, "/object",
+                          {{"table", "AUTHOR"},
+                           {"column", "NAME"},
+                           {"pk0.AUTHOR_KEY", seeded_[0].author_key}})
+                .status,
+            403);
+  ASSERT_TRUE(c.HideTable("SIMULATION").ok());
+  fs::HttpParams description = {
+      {"table", "SIMULATION"},
+      {"column", "DESCRIPTION"},
+      {"pk0.SIMULATION_KEY", seeded_[0].simulation_key}};
+  EXPECT_EQ(archive_->Get(alice_, "/object", description).status, 403);
+  description["value"] = "x";
+  EXPECT_EQ(archive_->Get(alice_, "/object/put", description).status, 403);
+  EXPECT_EQ(archive_->Get(alice_, "/object",
+                          {{"table", "AUTHOR"},
+                           {"column", "NOPE"},
+                           {"pk0.AUTHOR_KEY", seeded_[0].author_key}})
+                .status,
+            404);
+}
+
 TEST_F(WebTest, QueryFormThenSearch) {
   auto form = archive_->Get(alice_, "/query", {{"table", "AUTHOR"}});
   ASSERT_EQ(form.status, 200);
