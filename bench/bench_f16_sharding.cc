@@ -13,9 +13,12 @@
 //    no-distribution reference;
 //  * point lookups on the partition key with pruning on (one shard
 //    scanned per query) versus the enable_pruning=false ablation (every
-//    shard scanned, the scatter tax without the planner).
+//    shard scanned, the scatter tax without the planner);
+//  * writes, recorded but not gated: the seed ingest in multi-row INSERT
+//    batches and single-row INSERTs, 4 shards against the single node.
 //
-// Emits a JSON block (schema versioned, tagged with the build revision);
+// Emits a JSON block (schema versioned, tagged with the build revision,
+// build type and core count);
 // `--smoke` runs as a ctest gate and exits non-zero when the scattered
 // aggregate is not at least 2x the row-shipping gather ablation, when
 // pruning scans anything but exactly the matching shard, or when any
@@ -28,6 +31,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/string_util.h"
@@ -37,6 +41,9 @@
 
 #ifndef EASIA_BENCH_REV
 #define EASIA_BENCH_REV "unknown"
+#endif
+#ifndef EASIA_BUILD_TYPE
+#define EASIA_BUILD_TYPE "unknown"
 #endif
 
 namespace {
@@ -52,6 +59,7 @@ struct Config {
   int agg_iters = 20;     // aggregate executions per timed trial
   int point_queries = 200;
   int trials = 3;         // best-of
+  int single_inserts = 2000;  // single-row INSERTs timed after the seed
 };
 
 sim::Network MakeNet() {
@@ -141,6 +149,11 @@ double TimeLoop(int iters, const std::string& sql, RunFn&& run, bool* ok) {
       .count();
 }
 
+double SecondsSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
 struct Report {
   double single_agg_sec = 0;    // per aggregate execution
   double gather_agg_sec = 0;
@@ -163,9 +176,18 @@ int RunReproduction(const Config& cfg, bool smoke) {
       MakeCoordinator(&ablation_net, /*planned=*/false);
   db::Database single("SINGLE");
 
+  // The seed doubles as the batched-ingest measurement (CREATE TABLE
+  // included); the ablation coordinator is seeded untimed.
+  double sharded_ingest_sec = 0;
+  double single_ingest_sec = 0;
   for (const std::string& sql : SeedStatements(cfg)) {
-    if (!coord->Execute(sql).ok() || !ablation->Execute(sql).ok() ||
-        !single.Execute(sql).ok()) {
+    auto t0 = std::chrono::steady_clock::now();
+    bool ok = coord->Execute(sql).ok();
+    sharded_ingest_sec += SecondsSince(t0);
+    t0 = std::chrono::steady_clock::now();
+    ok = single.Execute(sql).ok() && ok;
+    single_ingest_sec += SecondsSince(t0);
+    if (!ok || !ablation->Execute(sql).ok()) {
       std::fprintf(stderr, "f16: seeding failed\n");
       return 1;
     }
@@ -271,9 +293,31 @@ int RunReproduction(const Config& cfg, bool smoke) {
     if (trial == 0 || r.agg_speedup > best.agg_speedup) best = r;
   }
 
+  // Single-row INSERTs past the seeded keys, after the timed trials so the
+  // reads above see exactly the seeded table.
+  double sharded_insert_sec = 0;
+  double single_insert_sec = 0;
+  for (int i = cfg.rows; i < cfg.rows + cfg.single_inserts; ++i) {
+    std::string sql = StrPrintf("INSERT INTO DATASET VALUES (%d, %d, %d,"
+                                " 'dataset%d')",
+                                i, i % cfg.groups, (i * 37) % 10000, i % 1000);
+    auto t0 = std::chrono::steady_clock::now();
+    bool ok = coord->Execute(sql).ok();
+    sharded_insert_sec += SecondsSince(t0);
+    t0 = std::chrono::steady_clock::now();
+    ok = single.Execute(sql).ok() && ok;
+    single_insert_sec += SecondsSince(t0);
+    if (!ok) {
+      std::fprintf(stderr, "f16: single-row insert failed\n");
+      return 1;
+    }
+  }
+
   std::printf("\n=== F16: hash-partitioned shards, scatter/gather ===\n");
-  std::printf("{\"bench\":\"f16_sharding\",\"schema\":1,\"rev\":\"%s\",\n",
-              EASIA_BENCH_REV);
+  std::printf("{\"bench\":\"f16_sharding\",\"schema\":2,\"rev\":\"%s\","
+              "\"build_type\":\"%s\",\"nproc\":%u,\n",
+              EASIA_BENCH_REV, EASIA_BUILD_TYPE,
+              std::thread::hardware_concurrency());
   std::printf(" \"shards\":%d,\"rows\":%d,\"groups\":%d,\"agg_iters\":%d,"
               "\"point_queries\":%d,\"trials\":%d,\n",
               kShards, cfg.rows, cfg.groups, cfg.agg_iters,
@@ -285,10 +329,17 @@ int RunReproduction(const Config& cfg, bool smoke) {
   std::printf(" \"pruned_point_us\":%.1f,\"ablation_point_us\":%.1f,\n",
               best.pruned_point_sec * 1e6, best.ablation_point_sec * 1e6);
   std::printf(" \"point_shards_scanned\":%llu,\"point_shards_pruned\":%llu,"
-              "\"ablation_shards_scanned\":%llu}\n",
+              "\"ablation_shards_scanned\":%llu,\n",
               static_cast<unsigned long long>(best.pruned_scanned),
               static_cast<unsigned long long>(best.pruned_avoided),
               static_cast<unsigned long long>(best.ablation_scanned));
+  std::printf(" \"writes\":{\"ingest_rows\":%d,\"batch_rows\":%d,"
+              "\"ingest_s\":{\"sharded\":%.3f,\"single\":%.3f},"
+              "\"single_row_inserts\":%d,"
+              "\"insert_us\":{\"sharded\":%.2f,\"single\":%.2f}}}\n",
+              cfg.rows, cfg.batch, sharded_ingest_sec, single_ingest_sec,
+              cfg.single_inserts, sharded_insert_sec / cfg.single_inserts * 1e6,
+              single_insert_sec / cfg.single_inserts * 1e6);
 
   int violations = 0;
   // The acceptance gate: per-shard partial aggregation must be at least
@@ -353,6 +404,7 @@ int main(int argc, char** argv) {
     cfg.agg_iters = 6;
     cfg.point_queries = 50;
     cfg.trials = 2;
+    cfg.single_inserts = 500;
   }
   int violations = RunReproduction(cfg, smoke);
   if (violations != 0) return 1;

@@ -558,7 +558,7 @@ Result<QueryResult> Database::ExecDropTable(const DropTableStmt& stmt,
   return DmlResult(0);
 }
 
-Result<Row> Database::ValidateAndCoerce(const TableDef& def, Row row) const {
+Result<Row> ValidateRow(const TableDef& def, Row row) {
   for (size_t i = 0; i < def.columns.size(); ++i) {
     const ColumnDef& col = def.columns[i];
     if (row[i].is_null()) {
@@ -579,9 +579,8 @@ Result<Row> Database::ValidateAndCoerce(const TableDef& def, Row row) const {
   return row;
 }
 
-Status Database::CheckForeignKeysOnWrite(const TableDef& def,
-                                         const Row& row) const {
-  if (!options_.enforce_foreign_keys) return Status::OK();
+Status CheckForeignKeyParents(const TableDef& def, const Row& row,
+                              const RowProbe& parent_exists) {
   for (const ForeignKeyDef& fk : def.foreign_keys) {
     std::vector<Value> key_values;
     bool any_null = false;
@@ -594,9 +593,9 @@ Status Database::CheckForeignKeysOnWrite(const TableDef& def,
       key_values.push_back(row[idx]);
     }
     if (any_null) continue;  // SQL: NULL FK values are not checked
-    EASIA_ASSIGN_OR_RETURN(const Table* parent, GetTable(fk.ref_table));
-    Result<RowId> found = parent->FindUnique(fk.ref_columns, key_values);
-    if (!found.ok()) {
+    EASIA_ASSIGN_OR_RETURN(
+        bool found, parent_exists(fk.ref_table, fk.ref_columns, key_values));
+    if (!found) {
       return Status::ConstraintViolation(
           "foreign key violation: no row in " + fk.ref_table + " for " +
           def.name + "(" + Join(fk.columns, ",") + ")");
@@ -605,12 +604,12 @@ Status Database::CheckForeignKeysOnWrite(const TableDef& def,
   return Status::OK();
 }
 
-Status Database::CheckNoChildren(const TableDef& def, const Row& old_row,
-                                 const Row* new_row) const {
-  if (!options_.enforce_foreign_keys) return Status::OK();
+Status CheckRestrictChildren(const Catalog& catalog, const TableDef& def,
+                             const Row& old_row, const Row* new_row,
+                             const RowProbe& child_exists) {
   for (const ColumnDef& col : def.columns) {
     std::vector<InboundReference> refs =
-        catalog_.ReferencesTo(def.name, col.name);
+        catalog.ReferencesTo(def.name, col.name);
     if (refs.empty()) continue;
     EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col.name));
     const Value& old_value = old_row[idx];
@@ -619,10 +618,10 @@ Status Database::CheckNoChildren(const TableDef& def, const Row& old_row,
       continue;  // value unchanged; children unaffected
     }
     for (const InboundReference& ref : refs) {
-      EASIA_ASSIGN_OR_RETURN(const Table* child, GetTable(ref.from_table));
-      EASIA_ASSIGN_OR_RETURN(size_t child_idx,
-                             child->def().ColumnIndex(ref.from_column));
-      if (child->AnyRowWithValue(child_idx, old_value)) {
+      EASIA_ASSIGN_OR_RETURN(
+          bool referenced,
+          child_exists(ref.from_table, {ref.from_column}, {old_value}));
+      if (referenced) {
         return Status::ConstraintViolation(
             "row is referenced by " + ref.from_table + "." + ref.from_column +
             " (RESTRICT)");
@@ -630,6 +629,32 @@ Status Database::CheckNoChildren(const TableDef& def, const Row& old_row,
     }
   }
   return Status::OK();
+}
+
+Status Database::CheckForeignKeysOnWrite(const TableDef& def,
+                                         const Row& row) const {
+  if (!options_.enforce_foreign_keys) return Status::OK();
+  return CheckForeignKeyParents(
+      def, row,
+      [this](const std::string& table, const std::vector<std::string>& columns,
+             const std::vector<Value>& key) -> Result<bool> {
+        EASIA_ASSIGN_OR_RETURN(const Table* parent, GetTable(table));
+        return parent->FindUnique(columns, key).ok();
+      });
+}
+
+Status Database::CheckNoChildren(const TableDef& def, const Row& old_row,
+                                 const Row* new_row) const {
+  if (!options_.enforce_foreign_keys) return Status::OK();
+  return CheckRestrictChildren(
+      catalog_, def, old_row, new_row,
+      [this](const std::string& table, const std::vector<std::string>& columns,
+             const std::vector<Value>& values) -> Result<bool> {
+        EASIA_ASSIGN_OR_RETURN(const Table* child, GetTable(table));
+        EASIA_ASSIGN_OR_RETURN(size_t idx,
+                               child->def().ColumnIndex(columns[0]));
+        return child->AnyRowWithValue(idx, values[0]);
+      });
 }
 
 Status Database::PrepareDatalinkChange(const ColumnDef& col,
@@ -691,7 +716,7 @@ Result<QueryResult> Database::ExecInsert(const InsertStmt& stmt,
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*value_exprs[i], env));
       row[positions[i]] = std::move(v);
     }
-    EASIA_ASSIGN_OR_RETURN(row, ValidateAndCoerce(def, std::move(row)));
+    EASIA_ASSIGN_OR_RETURN(row, ValidateRow(def, std::move(row)));
     EASIA_RETURN_IF_ERROR(CheckForeignKeysOnWrite(def, row));
     // SQL/MED link intents (may veto when the file is missing/linked).
     for (size_t i = 0; i < def.columns.size(); ++i) {
@@ -741,7 +766,7 @@ Result<QueryResult> Database::ExecUpdate(const UpdateStmt& stmt,
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, env));
       new_row[idx] = std::move(v);
     }
-    EASIA_ASSIGN_OR_RETURN(new_row, ValidateAndCoerce(def, std::move(new_row)));
+    EASIA_ASSIGN_OR_RETURN(new_row, ValidateRow(def, std::move(new_row)));
     EASIA_RETURN_IF_ERROR(CheckForeignKeysOnWrite(def, new_row));
     EASIA_RETURN_IF_ERROR(CheckNoChildren(def, old_row, &new_row));
     for (size_t i = 0; i < def.columns.size(); ++i) {
@@ -842,7 +867,7 @@ Result<QueryResult> Database::ExecCopy(const CopyStmt& stmt,
     rec.bulk_rows.reserve(chunk.size());
     txn_->undo.reserve(txn_->undo.size() + chunk.size());
     auto load_row = [&](Row raw) -> Status {
-      EASIA_ASSIGN_OR_RETURN(Row row, ValidateAndCoerce(def, std::move(raw)));
+      EASIA_ASSIGN_OR_RETURN(Row row, ValidateRow(def, std::move(raw)));
       EASIA_RETURN_IF_ERROR(CheckForeignKeysOnWrite(def, row));
       for (size_t i = 0; i < def.columns.size(); ++i) {
         EASIA_RETURN_IF_ERROR(

@@ -106,6 +106,26 @@ struct DatabaseOptions {
   bool enforce_foreign_keys = true;
 };
 
+// --- Row rules, shared by Database and the shard coordinator ---
+
+/// Coerces `row` to its columns' types; enforces NOT NULL (primary-key
+/// columns included) and VARCHAR length.
+Result<Row> ValidateRow(const TableDef& def, Row row);
+/// The FK rules' one question: does `table` hold a row whose `columns`
+/// equal `values`? Each caller answers it from its own storage.
+using RowProbe = std::function<Result<bool>(
+    const std::string& table, const std::vector<std::string>& columns,
+    const std::vector<Value>& values)>;
+/// Every foreign key of `row` without NULLs names a row `parent_exists`
+/// finds.
+Status CheckForeignKeyParents(const TableDef& def, const Row& row,
+                              const RowProbe& parent_exists);
+/// RESTRICT: no row `child_exists` finds references a value of `old_row`
+/// that the write removes (`new_row` null: a DELETE) or changes.
+Status CheckRestrictChildren(const Catalog& catalog, const TableDef& def,
+                             const Row& old_row, const Row* new_row,
+                             const RowProbe& child_exists);
+
 /// Cumulative engine counters.
 struct DatabaseStats {
   uint64_t statements = 0;
@@ -186,8 +206,9 @@ class Database {
   Result<QueryResult> Execute(std::string_view sql,
                               const ExecContext& ctx = {});
 
-  /// Executes an already-parsed statement (used by the QBE layer, which
-  /// builds ASTs directly).
+  /// Executes an already-parsed statement (the QBE layer and the shard
+  /// coordinator build ASTs directly). `original_sql` is read only by
+  /// CREATE TABLE, whose WAL record carries the DDL text.
   Result<QueryResult> ExecuteStatement(const Statement& stmt,
                                        std::string_view original_sql,
                                        const ExecContext& ctx = {});
@@ -307,12 +328,9 @@ class Database {
   /// Applies one committed WAL operation during recovery.
   Status ApplyWalOp(const WalRecord& op);
 
-  /// Validates a row against NOT NULL / VARCHAR size, coercing values.
-  Result<Row> ValidateAndCoerce(const TableDef& def, Row row) const;
-  /// FK child-side check: every FK value must have a parent.
+  /// The shared FK rules over this node's tables; no-ops when
+  /// enforce_foreign_keys is off.
   Status CheckForeignKeysOnWrite(const TableDef& def, const Row& row) const;
-  /// FK parent-side check: no children may reference `row`'s old values
-  /// being removed/changed.
   Status CheckNoChildren(const TableDef& def, const Row& old_row,
                          const Row* new_row) const;
   /// SQL/MED side effects for a changed datalink column value.

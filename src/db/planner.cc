@@ -116,17 +116,7 @@ bool MatchColumnEqualsLiteral(const Expr& expr,
 /// equality, which ToKeyString does not model — such pairs stay in the
 /// nested-loop/residual path.
 bool HashComparable(DataType a, DataType b) {
-  auto numeric = [](DataType t) {
-    return t == DataType::kInteger || t == DataType::kDouble ||
-           t == DataType::kTimestamp;
-  };
-  return (numeric(a) && numeric(b)) || (!numeric(a) && !numeric(b));
-}
-
-/// True when `type` joins the numeric comparison family of Value::Compare.
-bool IsNumericType(DataType type) {
-  return type == DataType::kInteger || type == DataType::kDouble ||
-         type == DataType::kTimestamp;
+  return IsNumericType(a) == IsNumericType(b);
 }
 
 /// Translates one pushed conjunct into a ColumnStore kernel predicate.

@@ -59,6 +59,11 @@ ReplicaNode* ReplicationCoordinator::AddReplica(const std::string& host,
 Result<QueryResult> ReplicationCoordinator::Execute(std::string_view sql,
                                                     const ExecContext& ctx) {
   EASIA_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
+  return ExecuteStatement(stmt, sql, ctx);
+}
+
+Result<QueryResult> ReplicationCoordinator::ExecuteStatement(
+    const Statement& stmt, std::string_view sql, const ExecContext& ctx) {
   if (stmt.kind == Statement::Kind::kSelect ||
       stmt.kind == Statement::Kind::kExplain) {
     ReadTicket ticket = RouteRead();

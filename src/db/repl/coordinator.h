@@ -115,6 +115,11 @@ class ReplicationCoordinator {
   ///     make retries idempotent.
   Result<QueryResult> Execute(std::string_view sql,
                               const ExecContext& ctx = {});
+  /// Execute for an already-parsed statement; `sql` is read only by
+  /// CREATE TABLE (see Database::ExecuteStatement).
+  Result<QueryResult> ExecuteStatement(const Statement& stmt,
+                                       std::string_view sql,
+                                       const ExecContext& ctx = {});
 
   /// Picks the serving node for one read: round-robin over replicas whose
   /// applied epoch is within max_read_lag_epochs of the primary's, else

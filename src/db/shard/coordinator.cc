@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -27,22 +28,6 @@ uint64_t Fnv1a64(std::string_view s) {
     h *= 1099511628211ull;
   }
   return h;
-}
-
-/// Renders a value as a SQL literal that parses back to the same value.
-/// %.17g round-trips doubles exactly (the lexer accepts exponent forms);
-/// quotes in strings are doubled per SQL.
-std::string RenderLiteral(const Value& v) {
-  if (v.is_null()) return "NULL";
-  switch (v.type()) {
-    case DataType::kInteger:
-    case DataType::kTimestamp:
-      return std::to_string(v.AsInt());
-    case DataType::kDouble:
-      return StrPrintf("%.17g", v.AsDouble());
-    default:
-      return "'" + ReplaceAll(v.AsString(), "'", "''") + "'";
-  }
 }
 
 /// Approximate wire size of a row for sim-link metering.
@@ -110,30 +95,6 @@ bool CollectAggregates(const Expr* e, std::vector<const Expr*>* out) {
   return true;
 }
 
-/// Mirror of Database::ValidateAndCoerce (exact statuses and messages);
-/// the shard databases would run the same checks, but the coordinator
-/// must fail *before* any shard applies anything.
-Result<Row> CoerceRowForTable(const TableDef& def, Row row) {
-  for (size_t i = 0; i < def.columns.size(); ++i) {
-    const ColumnDef& col = def.columns[i];
-    if (row[i].is_null()) {
-      if (col.not_null || def.IsPrimaryKeyColumn(col.name)) {
-        return Status::ConstraintViolation("column " + def.name + "." +
-                                           col.name + " may not be NULL");
-      }
-      continue;
-    }
-    EASIA_ASSIGN_OR_RETURN(row[i], row[i].CoerceTo(col.type));
-    if (col.type == DataType::kVarchar && col.size > 0 &&
-        row[i].AsString().size() > col.size) {
-      return Status::ConstraintViolation(
-          StrPrintf("value too long for %s.%s (max %zu)", def.name.c_str(),
-                    col.name.c_str(), col.size));
-    }
-  }
-  return row;
-}
-
 /// Canonical key for a row's primary-key values (dedup / exclusion sets).
 std::string PkKey(const TableDef& def, const Row& row) {
   std::string key;
@@ -149,6 +110,50 @@ QueryResult DmlResult(size_t rows_affected) {
   r.is_query = false;
   r.rows_affected = rows_affected;
   return r;
+}
+
+// Statements the coordinator writes itself carry typed literals, so a
+// shard applies exactly the Values the coordinator validated.
+
+/// `pk1 = v1 AND pk2 = v2 ...` with the values taken from `row`.
+std::unique_ptr<Expr> PkMatch(const TableDef& def, const Row& row) {
+  std::unique_ptr<Expr> where;
+  for (const std::string& col : def.primary_key) {
+    Result<size_t> idx = def.ColumnIndex(col);
+    if (!idx.ok()) continue;
+    std::unique_ptr<Expr> eq =
+        Expr::MakeBinary(Expr::Op::kEq, Expr::MakeColumn("", col),
+                         Expr::MakeLiteral(row[*idx]));
+    where = where == nullptr
+                ? std::move(eq)
+                : Expr::MakeBinary(Expr::Op::kAnd, std::move(where),
+                                   std::move(eq));
+  }
+  return where;
+}
+
+/// INSERT INTO <def> VALUES (...), one tuple per row.
+Statement InsertRows(const TableDef& def, const std::vector<const Row*>& rows) {
+  Statement stmt;
+  stmt.kind = Statement::Kind::kInsert;
+  stmt.insert = std::make_unique<InsertStmt>();
+  stmt.insert->table = def.name;
+  for (const Row* row : rows) {
+    std::vector<std::unique_ptr<Expr>>& values =
+        stmt.insert->rows.emplace_back();
+    for (const Value& v : *row) values.push_back(Expr::MakeLiteral(v));
+  }
+  return stmt;
+}
+
+/// DELETE FROM <def> WHERE <row's primary key>. `def` must have one.
+Statement DeleteRow(const TableDef& def, const Row& row) {
+  Statement stmt;
+  stmt.kind = Statement::Kind::kDelete;
+  stmt.del = std::make_unique<DeleteStmt>();
+  stmt.del->table = def.name;
+  stmt.del->where = PkMatch(def, row);
+  return stmt;
 }
 
 /// Per-slot partial accumulator, mergeable across shards. Mirrors the
@@ -197,7 +202,7 @@ struct ShardCoordinator::SelectAnalysis {
 ShardCoordinator::ShardCoordinator(sim::Network* network, ShardOptions options)
     : network_(network), options_(std::move(options)) {
   DatabaseOptions db_opts = options_.shard_db_options;
-  db_opts.enforce_foreign_keys = false;  // FKs are global; see CheckForeignKeys
+  db_opts.enforce_foreign_keys = false;  // FKs are global; see ParentProbe
   for (size_t i = 0; i < options_.shard_hosts.size(); ++i) {
     Shard shard;
     shard.host = options_.shard_hosts[i];
@@ -219,10 +224,59 @@ ShardCoordinator::ShardCoordinator(sim::Network* network, ShardOptions options)
 ShardCoordinator::~ShardCoordinator() = default;
 
 Result<QueryResult> ShardCoordinator::ShardWrite(size_t i,
-                                                 std::string_view sql,
-                                                 const ExecContext& ctx) {
-  if (shards_[i].repl != nullptr) return shards_[i].repl->Execute(sql, ctx);
-  return shards_[i].db->Execute(sql, ctx);
+                                                 const Statement& stmt,
+                                                 const ExecContext& ctx,
+                                                 std::string_view sql) {
+  if (shards_[i].repl == nullptr) {
+    return shards_[i].db->ExecuteStatement(stmt, sql, ctx);
+  }
+  return shards_[i].repl->ExecuteStatement(stmt, sql, ctx);
+}
+
+Result<QueryResult> ShardCoordinator::ApplySteps(const std::vector<Step>& steps,
+                                                 const ExecContext& ctx,
+                                                 std::string_view sql) {
+  Result<QueryResult> first = Status::Internal("no shards configured");
+  for (size_t i = 0; i < steps.size(); ++i) {
+    Result<QueryResult> r =
+        ShardWrite(steps[i].shard, *steps[i].stmt, ctx, sql);
+    if (!r.ok()) {
+      // kAborted: the failing step committed on its shard's primary below
+      // the ack quorum; a piecewise step may have committed a prefix. Both
+      // are reversed like the steps before them.
+      bool partly_applied =
+          r.status().code() == StatusCode::kAborted || steps[i].piecewise;
+      size_t applied = partly_applied ? i + 1 : i;
+      for (size_t u = applied; u-- > 0;) {
+        if (steps[u].undo) steps[u].undo();
+      }
+      return r;
+    }
+    if (i == 0) first = std::move(r);
+  }
+  return first;
+}
+
+Result<QueryResult> ShardCoordinator::WriteAll(const Statement& stmt,
+                                               const PartState* state,
+                                               const ExecContext& ctx) {
+  size_t affected = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    EASIA_ASSIGN_OR_RETURN(QueryResult r, ShardWrite(s, stmt, ctx));
+    if (state != nullptr || s == 0) affected += r.rows_affected;
+  }
+  return DmlResult(affected);
+}
+
+bool ShardCoordinator::PkTaken(const TableDef& def, size_t shard,
+                               const Row& row) const {
+  std::vector<Value> pk_values;
+  for (const std::string& col : def.primary_key) {
+    Result<size_t> idx = def.ColumnIndex(col);
+    if (idx.ok()) pk_values.push_back(row[*idx]);
+  }
+  Result<const Table*> table = ShardTable(shard, def.name);
+  return table.ok() && (*table)->FindUnique(def.primary_key, pk_values).ok();
 }
 
 repl::ReadTicket ShardCoordinator::ShardRead(size_t i) {
@@ -400,15 +454,10 @@ Result<QueryResult> ShardCoordinator::Execute(std::string_view sql,
                                               const ExecContext& ctx) {
   EASIA_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
   switch (stmt.kind) {
-    case Statement::Kind::kSelect: {
-      std::shared_lock<std::shared_mutex> lock(mu_);
-      return ExecSelect(*stmt.select, sql, ctx, /*explain=*/false,
-                        /*analyze=*/false);
-    }
+    case Statement::Kind::kSelect:
     case Statement::Kind::kExplain: {
       std::shared_lock<std::shared_mutex> lock(mu_);
-      return ExecSelect(*stmt.select, sql, ctx, /*explain=*/true,
-                        stmt.explain_analyze);
+      return ExecSelect(stmt, ctx);
     }
     case Statement::Kind::kBegin:
     case Statement::Kind::kCommit:
@@ -422,16 +471,16 @@ Result<QueryResult> ShardCoordinator::Execute(std::string_view sql,
   writes_.fetch_add(1, std::memory_order_relaxed);
   switch (stmt.kind) {
     case Statement::Kind::kInsert:
-      return ExecInsert(*stmt.insert, sql, ctx);
+      return ExecInsert(stmt, ctx);
     case Statement::Kind::kUpdate:
-      return ExecUpdate(*stmt.update, sql, ctx);
+      return ExecUpdate(stmt, ctx);
     case Statement::Kind::kDelete:
-      return ExecDelete(*stmt.del, sql, ctx);
+      return ExecDelete(stmt, ctx);
     case Statement::Kind::kCreateTable:
     case Statement::Kind::kDropTable:
       return ExecDdl(stmt, sql, ctx);
     case Statement::Kind::kCopy:
-      return ExecCopy(*stmt.copy, sql, ctx);
+      return ExecCopy(stmt, ctx);
     default:
       return Status::Internal("unhandled statement kind");
   }
@@ -448,9 +497,7 @@ std::vector<bool> ShardCoordinator::PruneForTable(
   std::vector<bool> scanned(n, true);
   if (def.primary_key.empty()) return scanned;
   const std::string& pk = def.primary_key[0];
-  const bool pk_numeric = state.pk_type == DataType::kInteger ||
-                          state.pk_type == DataType::kDouble ||
-                          state.pk_type == DataType::kTimestamp;
+  const bool pk_numeric = IsNumericType(state.pk_type);
 
   std::vector<const TableDef*> defs;
   const Catalog& cat = primary_db(0)->catalog();
@@ -736,10 +783,11 @@ ShardCoordinator::SelectAnalysis ShardCoordinator::Analyze(
   return a;
 }
 
-Result<QueryResult> ShardCoordinator::ExecSelect(const SelectStmt& stmt,
-                                                 std::string_view sql,
-                                                 const ExecContext& ctx,
-                                                 bool explain, bool analyze) {
+Result<QueryResult> ShardCoordinator::ExecSelect(const Statement& parsed,
+                                                 const ExecContext& ctx) {
+  const SelectStmt& stmt = *parsed.select;
+  const bool explain = parsed.kind == Statement::Kind::kExplain;
+  const bool analyze = parsed.explain_analyze;
   SelectAnalysis a = Analyze(stmt);
   const size_t n = shards_.size();
   if (!explain || analyze) {
@@ -752,7 +800,7 @@ Result<QueryResult> ShardCoordinator::ExecSelect(const SelectStmt& stmt,
       case SelectAnalysis::Strategy::kSingle: {
         queries_single_.fetch_add(1, std::memory_order_relaxed);
         repl::ReadTicket ticket = ShardRead(a.single_shard);
-        Result<QueryResult> r = ticket.db->Execute(sql, ctx);
+        Result<QueryResult> r = ticket.db->ExecuteStatement(parsed, {}, ctx);
         if (r.ok()) {
           uint64_t bytes = 0;
           for (const Row& row : r->rows) bytes += ApproxRowBytes(row);
@@ -794,9 +842,9 @@ Result<QueryResult> ShardCoordinator::ExecSelect(const SelectStmt& stmt,
                                 a.single_shard,
                                 shards_[a.single_shard].host.c_str()));
       repl::ReadTicket ticket = ShardRead(a.single_shard);
-      // `sql` is the whole EXPLAIN [ANALYZE] statement; the shard renders
-      // its own plan (and per-operator actuals under ANALYZE).
-      Result<QueryResult> sub = ticket.db->Execute(sql, ctx);
+      // `parsed` is the whole EXPLAIN [ANALYZE] statement; the shard
+      // renders its own plan (and per-operator actuals under ANALYZE).
+      Result<QueryResult> sub = ticket.db->ExecuteStatement(parsed, {}, ctx);
       if (!sub.ok()) return sub;
       for (const Row& row : sub->rows) {
         lines.push_back("  " + row[0].ToDisplayString());
@@ -1325,33 +1373,24 @@ Result<QueryResult> ShardCoordinator::RunGather(
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard constraint checks (the shard databases run with
-// enforce_foreign_keys off; messages mirror Database exactly)
+// Cross-shard constraint probes. The rules themselves (row validation, FK
+// parent, RESTRICT child) are the ones Database runs; the shard databases
+// run with enforce_foreign_keys off, so these probes answer them globally.
 // ---------------------------------------------------------------------------
 
-Status ShardCoordinator::CheckForeignKeys(
-    const TableDef& def, const Row& row,
-    const std::vector<const Row*>& pending_same_table) {
-  for (const ForeignKeyDef& fk : def.foreign_keys) {
-    std::vector<Value> key_values;
-    bool any_null = false;
-    for (const std::string& col : fk.columns) {
-      EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
-      if (row[idx].is_null()) {
-        any_null = true;
-        break;
-      }
-      key_values.push_back(row[idx]);
-    }
-    if (any_null) continue;  // SQL: NULL FK values are not checked
+RowProbe ShardCoordinator::ParentProbe(const TableDef& def,
+                                       const std::vector<Row>* pending) const {
+  return [this, &def, pending](const std::string& table,
+                               const std::vector<std::string>& columns,
+                               const std::vector<Value>& key) -> Result<bool> {
+    auto found_on = [&](size_t s) {
+      Result<const Table*> parent = ShardTable(s, table);
+      return parent.ok() && (*parent)->FindUnique(columns, key).ok();
+    };
     bool found = false;
-    auto pit = part_.find(ToUpper(fk.ref_table));
+    auto pit = part_.find(ToUpper(table));
     if (pit == part_.end()) {
-      // Broadcast parent: every shard holds it; shard 0 answers.
-      Result<const Table*> parent = ShardTable(0, fk.ref_table);
-      if (parent.ok()) {
-        found = (*parent)->FindUnique(fk.ref_columns, key_values).ok();
-      }
+      found = found_on(0);  // broadcast parent: every shard holds it
     } else {
       // Partitioned parent referenced by its partition key: the parent row
       // can only live on its hash shard, and within a kind class equal
@@ -1362,216 +1401,138 @@ Status ShardCoordinator::CheckForeignKeys(
       // mixed-kind comparison, where display-form equality can cross the
       // key-encoding boundary — probes every shard.
       const PartState& pstate = pit->second;
-      bool authoritative = false;
-      if (fk.ref_columns.size() == 1) {
-        const Catalog& cat = primary_db(0)->catalog();
-        Result<const TableDef*> parent_def = cat.GetTable(fk.ref_table);
-        const bool pk_numeric = pstate.pk_type == DataType::kInteger ||
-                                pstate.pk_type == DataType::kDouble ||
-                                pstate.pk_type == DataType::kTimestamp;
-        if (parent_def.ok() &&
-            EqualsIgnoreCase(fk.ref_columns[0],
-                             (*parent_def)->columns[pstate.pk_index].name) &&
-            key_values[0].IsNumericKind() == pk_numeric) {
-          Result<Value> coerced = key_values[0].CoerceTo(pstate.pk_type);
-          if (coerced.ok()) {
-            size_t target = ShardOfValue(pstate, *coerced);
-            Result<const Table*> parent = ShardTable(target, fk.ref_table);
-            if (parent.ok()) {
-              found = (*parent)->FindUnique(fk.ref_columns, key_values).ok();
-              authoritative = true;
-            }
-          }
-        }
+      Result<const TableDef*> parent_def =
+          primary_db(0)->catalog().GetTable(table);
+      std::optional<size_t> home;
+      if (columns.size() == 1 && parent_def.ok() &&
+          EqualsIgnoreCase(columns[0],
+                           (*parent_def)->columns[pstate.pk_index].name) &&
+          key[0].IsNumericKind() == IsNumericType(pstate.pk_type)) {
+        Result<Value> coerced = key[0].CoerceTo(pstate.pk_type);
+        if (coerced.ok()) home = ShardOfValue(pstate, *coerced);
       }
-      if (!authoritative) {
+      if (home.has_value()) {
+        found = found_on(*home);
+      } else {
         for (size_t s = 0; s < shards_.size() && !found; ++s) {
-          Result<const Table*> parent = ShardTable(s, fk.ref_table);
-          if (parent.ok()) {
-            found = (*parent)->FindUnique(fk.ref_columns, key_values).ok();
-          }
+          found = found_on(s);
         }
       }
     }
-    if (!found && EqualsIgnoreCase(fk.ref_table, def.name)) {
-      // Self-referencing FK: rows inserted earlier in this statement are
-      // already visible on a single-node database.
-      for (const Row* pending : pending_same_table) {
-        bool matches = true;
-        for (size_t k = 0; k < fk.ref_columns.size() && matches; ++k) {
-          Result<size_t> ridx = def.ColumnIndex(fk.ref_columns[k]);
-          matches = ridx.ok() && !(*pending)[*ridx].is_null() &&
-                    (*pending)[*ridx].Equals(key_values[k]);
-        }
-        if (matches) {
-          found = true;
-          break;
-        }
+    if (found || pending == nullptr || !EqualsIgnoreCase(table, def.name)) {
+      return found;
+    }
+    // Self-referencing FK: rows inserted earlier in this statement are
+    // already visible on a single-node database.
+    for (const Row& row : *pending) {
+      bool matches = true;
+      for (size_t k = 0; k < columns.size() && matches; ++k) {
+        Result<size_t> idx = def.ColumnIndex(columns[k]);
+        matches = idx.ok() && !row[*idx].is_null() && row[*idx].Equals(key[k]);
       }
+      if (matches) return true;
     }
-    if (!found) {
-      return Status::ConstraintViolation(
-          "foreign key violation: no row in " + fk.ref_table + " for " +
-          def.name + "(" + Join(fk.columns, ",") + ")");
-    }
-  }
-  return Status::OK();
+    return false;
+  };
 }
 
-Status ShardCoordinator::CheckNoChildren(
-    const TableDef& def, const Row& old_row, const Row* new_row,
-    const std::set<std::string>& excluded_self_keys) {
-  const Catalog& cat = primary_db(0)->catalog();
-  for (const ColumnDef& col : def.columns) {
-    std::vector<InboundReference> refs = cat.ReferencesTo(def.name, col.name);
-    if (refs.empty()) continue;
-    EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col.name));
-    const Value& old_value = old_row[idx];
-    if (old_value.is_null()) continue;
-    if (new_row != nullptr && (*new_row)[idx].Equals(old_value)) {
-      continue;  // value unchanged; children unaffected
+RowProbe ShardCoordinator::ChildProbe(
+    const TableDef& def, const std::set<std::string>* deleted) const {
+  return [this, &def, deleted](const std::string& table,
+                               const std::vector<std::string>& columns,
+                               const std::vector<Value>& values)
+             -> Result<bool> {
+    Result<const TableDef*> child_def =
+        primary_db(0)->catalog().GetTable(table);
+    if (!child_def.ok()) return false;
+    EASIA_ASSIGN_OR_RETURN(size_t idx, (*child_def)->ColumnIndex(columns[0]));
+    // DELETE processes targets in global order; same-statement rows
+    // already deleted must not count as children (a single-node database
+    // has physically removed them by this point).
+    std::function<bool(const Row&)> live;
+    if (deleted != nullptr && !deleted->empty() &&
+        EqualsIgnoreCase(table, def.name)) {
+      live = [&](const Row& child_row) {
+        return deleted->count(PkKey(def, child_row)) == 0;
+      };
     }
-    for (const InboundReference& ref : refs) {
-      Result<const TableDef*> child_def = cat.GetTable(ref.from_table);
-      if (!child_def.ok()) continue;
-      EASIA_ASSIGN_OR_RETURN(size_t child_idx,
-                             (*child_def)->ColumnIndex(ref.from_column));
-      bool self = EqualsIgnoreCase(ref.from_table, def.name);
-      // Broadcast children are identical everywhere; shard 0 answers.
-      size_t probe_shards =
-          part_.count(ToUpper(ref.from_table)) > 0 ? shards_.size() : 1;
-      // DELETE processes targets in global order; same-statement rows
-      // already deleted must not count as children (a single-node
-      // database has physically removed them by this point).
-      std::function<bool(const Row&)> live;
-      if (self && !excluded_self_keys.empty()) {
-        live = [&](const Row& child_row) {
-          return excluded_self_keys.count(PkKey(**child_def, child_row)) == 0;
-        };
-      }
-      bool referenced = false;
-      for (size_t s = 0; s < probe_shards && !referenced; ++s) {
-        Result<const Table*> child = ShardTable(s, ref.from_table);
-        if (!child.ok()) continue;
-        referenced = (*child)->AnyRowWithValue(child_idx, old_value, live);
-      }
-      if (referenced) {
-        return Status::ConstraintViolation("row is referenced by " +
-                                           ref.from_table + "." +
-                                           ref.from_column + " (RESTRICT)");
+    // Broadcast children are identical everywhere; shard 0 answers.
+    size_t probe_shards = part_.count(ToUpper(table)) > 0 ? shards_.size() : 1;
+    for (size_t s = 0; s < probe_shards; ++s) {
+      Result<const Table*> child = ShardTable(s, table);
+      if (child.ok() && (*child)->AnyRowWithValue(idx, values[0], live)) {
+        return true;
       }
     }
-  }
-  return Status::OK();
+    return false;
+  };
 }
 
 // ---------------------------------------------------------------------------
-// DML routing
+// Write routing
 // ---------------------------------------------------------------------------
 
-namespace {
-
-std::string RenderInsert(const TableDef& def, const Row& row) {
-  std::string sql = "INSERT INTO " + def.name + " VALUES (";
-  for (size_t i = 0; i < row.size(); ++i) {
-    if (i > 0) sql += ", ";
-    sql += RenderLiteral(row[i]);
-  }
-  sql += ")";
-  return sql;
-}
-
-std::string RenderPkPredicate(const TableDef& def, const Row& row) {
-  std::string sql;
-  for (const std::string& col : def.primary_key) {
-    Result<size_t> idx = def.ColumnIndex(col);
-    if (!idx.ok()) continue;
-    if (!sql.empty()) sql += " AND ";
-    sql += col + " = " + RenderLiteral(row[*idx]);
-  }
-  return sql;
-}
-
-std::string RenderPkDelete(const TableDef& def, const Row& row) {
-  return "DELETE FROM " + def.name + " WHERE " + RenderPkPredicate(def, row);
-}
-
-}  // namespace
-
-Result<QueryResult> ShardCoordinator::ExecCopy(const CopyStmt& stmt,
-                                               std::string_view sql,
+Result<QueryResult> ShardCoordinator::ExecCopy(const Statement& stmt,
                                                const ExecContext& ctx) {
-  if (part_.count(ToUpper(stmt.table)) > 0) {
+  if (part_.count(ToUpper(stmt.copy->table)) > 0) {
     return Status::FailedPrecondition(
         "COPY into a hash-partitioned table is not supported; "
         "use INSERT so rows route to their partitions");
   }
-  // Broadcast COPY fans the statement out to every shard, so a mid-fan-out
-  // failure (or a per-chunk abort — COPY commits chunk by chunk, so even
-  // the failing shard can keep earlier chunks) would leave the broadcast
-  // table divergent across shards. Snapshot the pk keys present before the
-  // copy (broadcast tables are identical everywhere, so shard 0's set
-  // serves) so compensation can delete exactly the rows this statement
-  // added, mirroring broadcast INSERT.
-  const Catalog& cat = primary_db(0)->catalog();
-  Result<const TableDef*> def_result = cat.GetTable(stmt.table);
-  const TableDef* def = def_result.ok() ? *def_result : nullptr;
+  // Broadcast COPY fans the statement out to every shard. COPY commits
+  // chunk by chunk, so even the failing shard can keep earlier chunks: the
+  // rows a shard added are found afterwards as the pk keys missing from a
+  // snapshot taken before the copy (broadcast tables are identical
+  // everywhere, so shard 0's set serves).
+  Result<const Table*> table = ShardTable(0, stmt.copy->table);
+  const TableDef* def = table.ok() && !(*table)->def().primary_key.empty()
+                            ? &(*table)->def()
+                            : nullptr;
   std::set<std::string> before;
-  bool can_compensate = def != nullptr && !def->primary_key.empty();
-  if (can_compensate) {
-    Result<const Table*> table = ShardTable(0, def->name);
-    if (table.ok()) {
-      (*table)->ForEachRow([&](RowId, const Row& row) {
-        before.insert(PkKey(*def, row));
-      });
-    } else {
-      can_compensate = false;
-    }
+  if (def != nullptr) {
+    (*table)->ForEachRow([&](RowId, const Row& row) {
+      before.insert(PkKey(*def, row));
+    });
   }
-  Result<QueryResult> first = Status::Internal("no shards configured");
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    Result<QueryResult> r = ShardWrite(i, sql, ctx);
-    if (!r.ok()) {
-      // Best-effort compensation on every shard written so far, the
-      // failing shard's own committed chunks included.
-      if (can_compensate) {
-        for (size_t u = 0; u <= i && u < shards_.size(); ++u) {
-          Result<const Table*> table = ShardTable(u, def->name);
-          if (!table.ok()) continue;
-          std::vector<Row> added;
-          (*table)->ForEachRow([&](RowId, const Row& row) {
-            if (before.count(PkKey(*def, row)) == 0) added.push_back(row);
-          });
-          for (const Row& row : added) {
-            (void)ShardWrite(u, RenderPkDelete(*def, row), ctx);
-          }
+  std::vector<Step> steps;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Step step{s, &stmt, nullptr, /*piecewise=*/true};
+    if (def != nullptr) {
+      step.undo = [this, s, def, &before, &ctx] {
+        Result<const Table*> table = ShardTable(s, def->name);
+        if (!table.ok()) return;
+        std::vector<Row> added;
+        (*table)->ForEachRow([&](RowId, const Row& row) {
+          if (before.count(PkKey(*def, row)) == 0) added.push_back(row);
+        });
+        for (const Row& row : added) {
+          (void)ShardWrite(s, DeleteRow(*def, row), ctx);
         }
-      }
-      return r;
+      };
     }
-    if (i == 0) first = std::move(r);
+    steps.push_back(std::move(step));
   }
-  return first;
+  return ApplySteps(steps, ctx);
 }
 
-Result<QueryResult> ShardCoordinator::ExecInsert(const InsertStmt& stmt,
-                                                 std::string_view sql,
+Result<QueryResult> ShardCoordinator::ExecInsert(const Statement& stmt,
                                                  const ExecContext& ctx) {
-  const Catalog& cat = primary_db(0)->catalog();
-  Result<const TableDef*> def_result = cat.GetTable(stmt.table);
+  const InsertStmt& insert = *stmt.insert;
+  Result<const TableDef*> def_result =
+      primary_db(0)->catalog().GetTable(insert.table);
   if (!def_result.ok()) {
     // Shard 0 reproduces the single-node "no table named X" error.
-    return ShardWrite(0, sql, ctx);
+    return ShardWrite(0, stmt, ctx);
   }
   const TableDef& def = **def_result;
   auto pit = part_.find(ToUpper(def.name));
   PartState* state = pit == part_.end() ? nullptr : &pit->second;
 
   std::vector<size_t> positions;
-  if (stmt.columns.empty()) {
+  if (insert.columns.empty()) {
     for (size_t i = 0; i < def.columns.size(); ++i) positions.push_back(i);
   } else {
-    for (const std::string& col : stmt.columns) {
+    for (const std::string& col : insert.columns) {
       EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
       positions.push_back(idx);
     }
@@ -1579,13 +1540,16 @@ Result<QueryResult> ShardCoordinator::ExecInsert(const InsertStmt& stmt,
 
   // Evaluate and validate every row up front, in statement order: a
   // single-node INSERT is atomic (implicit-transaction rollback), so the
-  // fan-out must not start until the whole statement is known good.
+  // fan-out must not start until the whole statement is known good. Each
+  // shard then gets one INSERT of its rows in statement order, so
+  // shard-local RowId order keeps refining the global sequence; a
+  // broadcast table sends every row to every shard.
   std::vector<Row> rows;
-  rows.reserve(stmt.rows.size());
-  std::vector<size_t> targets;
+  rows.reserve(insert.rows.size());  // `groups` points into it
+  std::vector<std::vector<const Row*>> groups(shards_.size());
   std::set<std::string> statement_keys;
-  std::vector<const Row*> pending;
-  for (const auto& value_exprs : stmt.rows) {
+  RowProbe parent_exists = ParentProbe(def, &rows);
+  for (const auto& value_exprs : insert.rows) {
     if (value_exprs.size() != positions.size()) {
       return Status::InvalidArgument(
           "INSERT value count does not match column count");
@@ -1596,96 +1560,61 @@ Result<QueryResult> ShardCoordinator::ExecInsert(const InsertStmt& stmt,
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*value_exprs[i], env));
       row[positions[i]] = std::move(v);
     }
-    EASIA_ASSIGN_OR_RETURN(row, CoerceRowForTable(def, std::move(row)));
-    EASIA_RETURN_IF_ERROR(CheckForeignKeys(def, row, pending));
+    EASIA_ASSIGN_OR_RETURN(row, ValidateRow(def, std::move(row)));
+    EASIA_RETURN_IF_ERROR(CheckForeignKeyParents(def, row, parent_exists));
     size_t target = state != nullptr
                         ? ShardOfValue(*state, row[state->pk_index])
                         : 0;
-    if (!def.primary_key.empty()) {
-      if (!statement_keys.insert(PkKey(def, row)).second) {
-        return Status::ConstraintViolation("duplicate primary key in table " +
-                                           def.name);
-      }
-      std::vector<Value> pk_values;
-      for (const std::string& col : def.primary_key) {
-        EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
-        pk_values.push_back(row[idx]);
-      }
-      Result<const Table*> table = ShardTable(target, def.name);
-      if (table.ok() && (*table)->FindUnique(def.primary_key, pk_values).ok()) {
-        return Status::ConstraintViolation("duplicate primary key in table " +
-                                           def.name);
-      }
+    if (!def.primary_key.empty() &&
+        (!statement_keys.insert(PkKey(def, row)).second ||
+         PkTaken(def, target, row))) {
+      return Status::ConstraintViolation("duplicate primary key in table " +
+                                         def.name);
     }
-    if (state != nullptr) targets.push_back(target);
     rows.push_back(std::move(row));
-    pending.push_back(&rows.back());
+    groups[target].push_back(&rows.back());
   }
-
-  if (state == nullptr) {
-    // Broadcast: every shard applies the identical statement.
-    Result<QueryResult> first = Status::Internal("no shards configured");
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      Result<QueryResult> r = ShardWrite(s, sql, ctx);
-      if (!r.ok()) {
-        // Best-effort compensation on shards already written.
-        if (!def.primary_key.empty()) {
-          for (size_t u = 0; u < s; ++u) {
-            for (const Row& row : rows) {
-              (void)ShardWrite(u, RenderPkDelete(def, row), ctx);
-            }
-          }
-        }
-        return r;
-      }
-      if (s == 0) first = std::move(r);
-    }
-    return first;
-  }
-
   if (rows.empty()) return DmlResult(0);
-  bool single_target = true;
-  for (size_t t : targets) single_target = single_target && t == targets[0];
-  if (single_target) {
-    // The whole statement lands on one shard: forward it verbatim (no
-    // literal re-rendering, so e.g. doubles stay byte-identical).
-    EASIA_ASSIGN_OR_RETURN(QueryResult r, ShardWrite(targets[0], sql, ctx));
+  std::vector<Statement> inserts;
+  inserts.reserve(shards_.size());  // `steps` point into it
+  std::vector<Step> steps;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    // A broadcast table's one group (shard 0's) goes to every shard.
+    const std::vector<const Row*>& group = groups[state != nullptr ? s : 0];
+    if (group.empty()) continue;
+    if (state != nullptr || s == 0) inserts.push_back(InsertRows(def, group));
+    Step step{s, &inserts.back(), nullptr};
+    if (!def.primary_key.empty()) {
+      step.undo = [this, s, &def, &group, &ctx] {
+        for (const Row* row : group) {
+          (void)ShardWrite(s, DeleteRow(def, *row), ctx);
+        }
+      };
+    }
+    steps.push_back(std::move(step));
+  }
+  EASIA_RETURN_IF_ERROR(ApplySteps(steps, ctx).status());
+  if (state != nullptr) {
     for (const Row& row : rows) {
       state->seq[row[state->pk_index].ToKeyString()] = state->next_seq++;
     }
-    return r;
-  }
-  // Rows split across shards: apply per row in statement order, undoing
-  // earlier rows (best effort) if a later one fails.
-  for (size_t i = 0; i < rows.size(); ++i) {
-    Result<QueryResult> r = ShardWrite(targets[i], RenderInsert(def, rows[i]),
-                                       ctx);
-    if (!r.ok()) {
-      for (size_t u = 0; u < i; ++u) {
-        (void)ShardWrite(targets[u], RenderPkDelete(def, rows[u]), ctx);
-      }
-      return r;
-    }
-  }
-  for (const Row& row : rows) {
-    state->seq[row[state->pk_index].ToKeyString()] = state->next_seq++;
   }
   return DmlResult(rows.size());
 }
 
-Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
-                                                 std::string_view sql,
+Result<QueryResult> ShardCoordinator::ExecUpdate(const Statement& stmt,
                                                  const ExecContext& ctx) {
+  const UpdateStmt& update = *stmt.update;
   const Catalog& cat = primary_db(0)->catalog();
-  Result<const TableDef*> def_result = cat.GetTable(stmt.table);
-  if (!def_result.ok()) return ShardWrite(0, sql, ctx);
+  Result<const TableDef*> def_result = cat.GetTable(update.table);
+  if (!def_result.ok()) return ShardWrite(0, stmt, ctx);
   const TableDef& def = **def_result;
   auto pit = part_.find(ToUpper(def.name));
   PartState* state = pit == part_.end() ? nullptr : &pit->second;
 
   std::vector<ColumnBinding> schema = TableSchema(def, def.name);
   std::vector<std::pair<size_t, const Expr*>> sets;
-  for (const auto& [col, expr] : stmt.assignments) {
+  for (const auto& [col, expr] : update.assignments) {
     EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
     sets.emplace_back(idx, expr.get());
   }
@@ -1697,10 +1626,12 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
   }
 
   EASIA_ASSIGN_OR_RETURN(std::vector<DmlTarget> targets,
-                         CollectDmlTargets(def, state, stmt.where.get()));
+                         CollectDmlTargets(def, state, update.where.get()));
 
   // Validate sequentially in that order, tracking pk keys vacated and
   // taken by earlier targets — mirrors single-node row-at-a-time apply.
+  RowProbe parent_exists = ParentProbe(def, nullptr);
+  RowProbe child_exists = ChildProbe(def, nullptr);
   std::set<std::string> vacated;
   std::set<std::string> taken;
   std::vector<Row> new_rows;
@@ -1712,30 +1643,19 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
       EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, env));
       new_row[idx] = std::move(v);
     }
-    EASIA_ASSIGN_OR_RETURN(new_row, CoerceRowForTable(def, std::move(new_row)));
-    EASIA_RETURN_IF_ERROR(CheckForeignKeys(def, new_row, {}));
-    EASIA_RETURN_IF_ERROR(CheckNoChildren(def, target.row, &new_row, {}));
+    EASIA_ASSIGN_OR_RETURN(new_row, ValidateRow(def, std::move(new_row)));
+    EASIA_RETURN_IF_ERROR(CheckForeignKeyParents(def, new_row, parent_exists));
+    EASIA_RETURN_IF_ERROR(
+        CheckRestrictChildren(cat, def, target.row, &new_row, child_exists));
     if (!def.primary_key.empty()) {
       std::string old_key = PkKey(def, target.row);
       std::string new_key = PkKey(def, new_row);
       if (new_key != old_key) {
-        bool duplicate = taken.count(new_key) > 0;
-        if (!duplicate && vacated.count(new_key) == 0) {
-          std::vector<Value> pk_values;
-          for (const std::string& col : def.primary_key) {
-            EASIA_ASSIGN_OR_RETURN(size_t idx, def.ColumnIndex(col));
-            pk_values.push_back(new_row[idx]);
-          }
-          size_t probe = state != nullptr
-                             ? ShardOfValue(*state, new_row[state->pk_index])
-                             : 0;
-          Result<const Table*> table = ShardTable(probe, def.name);
-          if (table.ok() &&
-              (*table)->FindUnique(def.primary_key, pk_values).ok()) {
-            duplicate = true;
-          }
-        }
-        if (duplicate) {
+        size_t home = state != nullptr
+                          ? ShardOfValue(*state, new_row[state->pk_index])
+                          : 0;
+        if (taken.count(new_key) > 0 ||
+            (vacated.count(new_key) == 0 && PkTaken(def, home, new_row))) {
           return Status::ConstraintViolation(
               "duplicate primary key in table " + def.name);
         }
@@ -1752,26 +1672,15 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
     return DmlResult(0);
   }
 
-  if (state == nullptr || !pk_assigned) {
-    // Row placement is stable: every shard applies the original statement
-    // to its local rows (broadcast shards all hold every row).
-    size_t affected = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      EASIA_ASSIGN_OR_RETURN(QueryResult r, ShardWrite(s, sql, ctx));
-      if (state != nullptr) {
-        affected += r.rows_affected;
-      } else if (s == 0) {
-        affected = r.rows_affected;
-      }
-    }
-    return DmlResult(affected);
-  }
+  // Row placement is stable: every shard applies the statement to its
+  // local rows.
+  if (state == nullptr || !pk_assigned) return WriteAll(stmt, state, ctx);
 
   // Partition-key reassignment: rows may change shards. Apply per target
-  // in global order; a cross-shard move is DELETE@old + INSERT@new with
-  // the global sequence carried over (the row keeps its logical position,
-  // like a single-node UPDATE keeps its RowId).
-  size_t affected = 0;
+  // in global order with the values already computed; a cross-shard move
+  // is DELETE@old + INSERT@new with the global sequence carried over (the
+  // row keeps its logical position, like a single-node UPDATE keeps its
+  // RowId).
   for (size_t t = 0; t < targets.size(); ++t) {
     const DmlTarget& target = targets[t];
     const Row& new_row = new_rows[t];
@@ -1779,93 +1688,86 @@ Result<QueryResult> ShardCoordinator::ExecUpdate(const UpdateStmt& stmt,
     const Value& new_pk = new_row[state->pk_index];
     size_t destination = ShardOfValue(*state, new_pk);
     if (destination == target.shard) {
-      std::string set_sql;
+      Statement row_update;
+      row_update.kind = Statement::Kind::kUpdate;
+      row_update.update = std::make_unique<UpdateStmt>();
+      row_update.update->table = def.name;
       for (const auto& [idx, expr] : sets) {
-        if (!set_sql.empty()) set_sql += ", ";
-        set_sql += def.columns[idx].name + " = " +
-                   RenderLiteral(new_row[idx]);
+        row_update.update->assignments.emplace_back(
+            def.columns[idx].name, Expr::MakeLiteral(new_row[idx]));
       }
-      std::string row_sql = "UPDATE " + def.name + " SET " + set_sql +
-                            " WHERE " + def.primary_key[0] + " = " +
-                            RenderLiteral(old_pk);
-      EASIA_ASSIGN_OR_RETURN(QueryResult r,
-                             ShardWrite(target.shard, row_sql, ctx));
-      (void)r;
+      row_update.update->where = PkMatch(def, target.row);
+      EASIA_RETURN_IF_ERROR(ShardWrite(target.shard, row_update, ctx).status());
     } else {
-      EASIA_RETURN_IF_ERROR(
-          ShardWrite(target.shard, RenderPkDelete(def, target.row), ctx)
-              .status());
-      Result<QueryResult> inserted =
-          ShardWrite(destination, RenderInsert(def, new_row), ctx);
-      if (!inserted.ok()) {
-        // Best effort: put the old row back where it was.
-        (void)ShardWrite(target.shard, RenderInsert(def, target.row), ctx);
-        return inserted.status();
-      }
-      migrations_.fetch_add(1, std::memory_order_relaxed);
+      Statement remove = DeleteRow(def, target.row);
+      Statement add = InsertRows(def, {&new_row});
+      std::vector<Step> move;
+      move.push_back({target.shard, &remove, [&] {
+                        (void)ShardWrite(target.shard,
+                                         InsertRows(def, {&target.row}), ctx);
+                      }});
+      move.push_back({destination, &add, [&] {
+                        (void)ShardWrite(destination, DeleteRow(def, new_row),
+                                         ctx);
+                      }});
+      // Set first: a failed move re-inserts the old row, which reorders
+      // its shard just the same.
       state->order_dirty = true;
+      EASIA_RETURN_IF_ERROR(ApplySteps(move, ctx).status());
+      migrations_.fetch_add(1, std::memory_order_relaxed);
     }
     uint64_t seq = target.seq == UINT64_MAX ? state->next_seq++ : target.seq;
     state->seq.erase(old_pk.ToKeyString());
     state->seq[new_pk.ToKeyString()] = seq;
-    ++affected;
   }
-  return DmlResult(affected);
+  return DmlResult(targets.size());
 }
 
-Result<QueryResult> ShardCoordinator::ExecDelete(const DeleteStmt& stmt,
-                                                 std::string_view sql,
+Result<QueryResult> ShardCoordinator::ExecDelete(const Statement& stmt,
                                                  const ExecContext& ctx) {
   const Catalog& cat = primary_db(0)->catalog();
-  Result<const TableDef*> def_result = cat.GetTable(stmt.table);
-  if (!def_result.ok()) return ShardWrite(0, sql, ctx);
+  Result<const TableDef*> def_result = cat.GetTable(stmt.del->table);
+  if (!def_result.ok()) return ShardWrite(0, stmt, ctx);
   const TableDef& def = **def_result;
   auto pit = part_.find(ToUpper(def.name));
   PartState* state = pit == part_.end() ? nullptr : &pit->second;
 
   EASIA_ASSIGN_OR_RETURN(std::vector<DmlTarget> targets,
-                         CollectDmlTargets(def, state, stmt.where.get()));
+                         CollectDmlTargets(def, state, stmt.del->where.get()));
   // RESTRICT checks in global order: a single-node DELETE removes rows
   // one at a time, so a child deleted earlier in the same statement no
   // longer blocks its parent.
   std::set<std::string> deleted_keys;
+  RowProbe child_exists = ChildProbe(def, &deleted_keys);
   for (const DmlTarget& target : targets) {
     EASIA_RETURN_IF_ERROR(
-        CheckNoChildren(def, target.row, nullptr, deleted_keys));
+        CheckRestrictChildren(cat, def, target.row, nullptr, child_exists));
     if (!def.primary_key.empty()) deleted_keys.insert(PkKey(def, target.row));
-  }
-  size_t affected = 0;
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    EASIA_ASSIGN_OR_RETURN(QueryResult r, ShardWrite(s, sql, ctx));
-    if (state != nullptr) {
-      affected += r.rows_affected;
-    } else if (s == 0) {
-      affected = r.rows_affected;
-    }
   }
   // Sequence entries for deleted keys go stale, which is harmless: they
   // are only consulted for live rows, and a re-insert overwrites.
-  return DmlResult(affected);
+  return WriteAll(stmt, state, ctx);
 }
 
 Result<QueryResult> ShardCoordinator::ExecDdl(const Statement& stmt,
                                               std::string_view sql,
                                               const ExecContext& ctx) {
   if (stmt.kind == Statement::Kind::kCreateTable) {
+    // Validation errors fail on shard 0 before anything applies; a later
+    // (replication) failure drops the table where it was created. `sql`
+    // travels along for the shards' CREATE TABLE WAL records.
     const TableDef& def = stmt.create_table->def;
-    Result<QueryResult> first = Status::Internal("no shards configured");
+    std::vector<Step> steps;
     for (size_t s = 0; s < shards_.size(); ++s) {
-      Result<QueryResult> r = ShardWrite(s, sql, ctx);
-      if (!r.ok()) {
-        // Validation errors fail on shard 0 before anything applies; a
-        // later-shard (replication) failure compensates best-effort.
-        for (size_t u = 0; u < s; ++u) {
-          (void)ShardWrite(u, "DROP TABLE " + def.name, ctx);
-        }
-        return r;
-      }
-      if (s == 0) first = std::move(r);
+      steps.push_back({s, &stmt, [this, s, &def, &ctx] {
+                         Statement drop;
+                         drop.kind = Statement::Kind::kDropTable;
+                         drop.drop_table = std::make_unique<DropTableStmt>();
+                         drop.drop_table->table = def.name;
+                         (void)ShardWrite(s, drop, ctx);
+                       }});
     }
+    EASIA_ASSIGN_OR_RETURN(QueryResult created, ApplySteps(steps, ctx, sql));
     if (def.partitions > 0) {
       PartState state;
       Result<size_t> idx = def.ColumnIndex(def.partition_by);
@@ -1874,17 +1776,11 @@ Result<QueryResult> ShardCoordinator::ExecDdl(const Statement& stmt,
       state.partitions = def.partitions;
       part_[ToUpper(def.name)] = std::move(state);
     }
-    return first;
+    return created;
   }
-  // DROP TABLE
-  Result<QueryResult> first = Status::Internal("no shards configured");
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    Result<QueryResult> r = ShardWrite(s, sql, ctx);
-    if (!r.ok()) return r;
-    if (s == 0) first = std::move(r);
-  }
+  EASIA_ASSIGN_OR_RETURN(QueryResult dropped, WriteAll(stmt, nullptr, ctx));
   part_.erase(ToUpper(stmt.drop_table->table));
-  return first;
+  return dropped;
 }
 
 }  // namespace easia::db::shard

@@ -93,8 +93,8 @@ struct ShardCounters {
 ///
 /// SELECT strategies, chosen per statement:
 ///   single  — no partitioned table in FROM, or every partitioned table
-///             prunes to the same one shard: the original SQL forwards to
-///             that shard (its catalogue mirror plans it like a
+///             prunes to the same one shard: the parsed statement forwards
+///             to that shard (its catalogue mirror plans it like a
 ///             single-node database).
 ///   scatter — single-table aggregate over a partitioned table: shards
 ///             accumulate partial groups (COUNT/SUM/MIN/MAX/AVG with the
@@ -107,6 +107,10 @@ struct ShardCounters {
 ///             the existing cost-based planner/executor at the
 ///             coordinator, so joins reuse the single-node cost model and
 ///             results match single-node execution exactly.
+///
+/// Writes: shards receive parsed Statements only — the original, or ones
+/// built from typed Values. Row validation and the FK rules are the shared
+/// ones from db/database.h, answered by cross-shard probes.
 ///
 /// Threading: Execute takes a coordinator-wide reader/writer lock (reads
 /// shared, writes exclusive). Every access to the shard databases must go
@@ -189,6 +193,16 @@ class ShardCoordinator {
 
   struct SelectAnalysis;
 
+  /// One shard write of a fan-out and its best-effort reversal.
+  struct Step {
+    size_t shard = 0;
+    const Statement* stmt = nullptr;
+    std::function<void()> undo;
+    /// The write commits piecewise (COPY, chunk by chunk), so even a
+    /// failing attempt can leave part of it behind.
+    bool piecewise = false;
+  };
+
   /// One UPDATE/DELETE target row and the shard holding it.
   struct DmlTarget {
     size_t shard = 0;
@@ -197,9 +211,8 @@ class ShardCoordinator {
     Row row;
   };
 
-  Result<QueryResult> ExecSelect(const SelectStmt& stmt,
-                                 std::string_view sql, const ExecContext& ctx,
-                                 bool explain, bool analyze);
+  Result<QueryResult> ExecSelect(const Statement& parsed,
+                                 const ExecContext& ctx);
   SelectAnalysis Analyze(const SelectStmt& stmt) const;
   std::vector<bool> PruneForTable(const PartState& state,
                                   const TableDef& def, const std::string& alias,
@@ -213,20 +226,34 @@ class ShardCoordinator {
                                 const ExecContext& ctx,
                                 std::vector<int64_t>* fetched_rows);
 
-  Result<QueryResult> ExecInsert(const InsertStmt& stmt, std::string_view sql,
+  Result<QueryResult> ExecInsert(const Statement& stmt,
                                  const ExecContext& ctx);
-  Result<QueryResult> ExecUpdate(const UpdateStmt& stmt, std::string_view sql,
+  Result<QueryResult> ExecUpdate(const Statement& stmt,
                                  const ExecContext& ctx);
-  Result<QueryResult> ExecDelete(const DeleteStmt& stmt, std::string_view sql,
+  Result<QueryResult> ExecDelete(const Statement& stmt,
                                  const ExecContext& ctx);
   Result<QueryResult> ExecDdl(const Statement& stmt, std::string_view sql,
                               const ExecContext& ctx);
-  Result<QueryResult> ExecCopy(const CopyStmt& stmt, std::string_view sql,
-                               const ExecContext& ctx);
+  Result<QueryResult> ExecCopy(const Statement& stmt, const ExecContext& ctx);
 
-  /// Write-path execution on one shard (repl::Execute when replicated).
-  Result<QueryResult> ShardWrite(size_t i, std::string_view sql,
-                                 const ExecContext& ctx);
+  /// Write-path execution on one shard (repl::ExecuteStatement when
+  /// replicated). `sql` is read only by CREATE TABLE.
+  Result<QueryResult> ShardWrite(size_t i, const Statement& stmt,
+                                 const ExecContext& ctx,
+                                 std::string_view sql = {});
+  /// The undo rule of every fan-out: applies `steps` in order, returning
+  /// the first one's result. On a failure, reverses every applied step —
+  /// and the failing one when kAborted (it committed below quorum) or
+  /// piecewise — and returns the failing status verbatim.
+  Result<QueryResult> ApplySteps(const std::vector<Step>& steps,
+                                 const ExecContext& ctx,
+                                 std::string_view sql = {});
+  /// Sends `stmt` to every shard. Rows affected sum over a partitioned
+  /// table's shards; a broadcast table (`state` null) reports shard 0's.
+  Result<QueryResult> WriteAll(const Statement& stmt, const PartState* state,
+                               const ExecContext& ctx);
+  /// True when `shard` already holds a row with `row`'s primary key.
+  bool PkTaken(const TableDef& def, size_t shard, const Row& row) const;
   /// Read ticket for one shard (stale-bounded replica routing when
   /// replicated).
   repl::ReadTicket ShardRead(size_t i);
@@ -239,13 +266,14 @@ class ShardCoordinator {
   Result<std::vector<DmlTarget>> CollectDmlTargets(const TableDef& def,
                                                    const PartState* state,
                                                    const Expr* where) const;
-  /// FK enforcement across shards, mirroring Database's single-node
-  /// messages (the shard databases run with enforce_foreign_keys off).
-  Status CheckForeignKeys(const TableDef& def, const Row& row,
-                          const std::vector<const Row*>& pending_same_table);
-  Status CheckNoChildren(const TableDef& def, const Row& old_row,
-                         const Row* new_row,
-                         const std::set<std::string>& excluded_self_keys);
+  /// Parent probe for writes to `def`: the parent's hash shard when
+  /// authoritative, else every shard; then `pending` rows (self-refs).
+  RowProbe ParentProbe(const TableDef& def,
+                       const std::vector<Row>* pending) const;
+  /// Child probe for writes to `def`, skipping `def` rows whose pk key is
+  /// in `deleted` (removed earlier by this DELETE).
+  RowProbe ChildProbe(const TableDef& def,
+                      const std::set<std::string>* deleted) const;
   /// Shard i's CURRENT primary: the replication group's promoted head
   /// after a failover, else the initial database. Every coordinator-side
   /// read of shard state (tables, catalogue, commit epochs) must go

@@ -487,11 +487,8 @@ bool Table::AnyRowWithValue(
   // probe has the column's type; across families Value::Compare falls back
   // to display form, which the key encoding does not model.
   DataType type = def_.columns[column_index].type;
-  bool numeric_column = type == DataType::kInteger ||
-                        type == DataType::kDouble ||
-                        type == DataType::kTimestamp;
   Result<Value> probe = value.CoerceTo(type);
-  if (probe.ok() && value.IsNumericKind() == numeric_column) {
+  if (probe.ok() && value.IsNumericKind() == IsNumericType(type)) {
     const std::vector<size_t> cols = {column_index};
     std::string key;
     PutLengthPrefixed(&key, probe->ToKeyString());

@@ -25,6 +25,13 @@ enum class DataType {
 std::string_view DataTypeName(DataType type);
 Result<DataType> DataTypeFromName(std::string_view name);
 
+/// True when `type` joins the numeric comparison family of Value::Compare
+/// (integers, doubles and timestamps compare numerically with each other).
+inline bool IsNumericType(DataType type) {
+  return type == DataType::kInteger || type == DataType::kDouble ||
+         type == DataType::kTimestamp;
+}
+
 /// A single SQL value: typed payload or NULL. Integers and timestamps share
 /// the int64 slot; varchar/blob/clob/datalink share the string slot (for a
 /// DATALINK this is the unlinked URL form `http://host/fs/path/file`).
@@ -56,10 +63,7 @@ class Value {
     return type_ == DataType::kVarchar || type_ == DataType::kBlob ||
            type_ == DataType::kClob || type_ == DataType::kDatalink;
   }
-  bool IsNumericKind() const {
-    return type_ == DataType::kInteger || type_ == DataType::kDouble ||
-           type_ == DataType::kTimestamp;
-  }
+  bool IsNumericKind() const { return IsNumericType(type_); }
 
   /// Three-way comparison for ORDER BY / index keys. NULLs sort first;
   /// numeric kinds compare numerically across integer/double/timestamp;

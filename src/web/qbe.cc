@@ -7,11 +7,6 @@ namespace easia::web {
 
 namespace {
 
-bool IsNumericType(db::DataType type) {
-  return type == db::DataType::kInteger || type == db::DataType::kDouble ||
-         type == db::DataType::kTimestamp;
-}
-
 /// Quotes / passes through a literal by column type; converts '*'/'?'
 /// wildcards to LIKE syntax. Returns (sql_literal, use_like).
 Result<std::pair<std::string, bool>> RenderLiteral(
@@ -34,7 +29,7 @@ Result<std::pair<std::string, bool>> RenderLiteral(
     pattern = ReplaceAll(pattern, "?", "_");
     return std::make_pair("'" + ReplaceAll(pattern, "'", "''") + "'", true);
   }
-  if (IsNumericType(col.type)) {
+  if (db::IsNumericType(col.type)) {
     EASIA_ASSIGN_OR_RETURN(double parsed, ParseDouble(value));
     (void)parsed;
     return std::make_pair(std::string(Trim(value)), false);
@@ -212,7 +207,7 @@ Result<std::string> BrowseSql(const xuis::XuisSpec& spec,
     return Status::PermissionDenied("browse: column " + column + " is hidden");
   }
   std::string literal;
-  if (IsNumericType(col->type)) {
+  if (db::IsNumericType(col->type)) {
     EASIA_ASSIGN_OR_RETURN(double parsed, ParseDouble(value));
     (void)parsed;
     literal = std::string(Trim(value));

@@ -14,7 +14,7 @@ namespace {
 /// for an AUTHOR_KEY). Falls back to the raw key on any miss.
 std::string FkDisplayValue(const RenderContext& ctx, const xuis::FkSpec& fk,
                            const std::string& raw_value) {
-  if (fk.subst_column.empty() || ctx.database == nullptr) return raw_value;
+  if (fk.subst_column.empty() || !ctx.query) return raw_value;
   Result<std::pair<std::string, std::string>> target =
       xuis::SplitColid(fk.table_column);
   Result<std::pair<std::string, std::string>> subst =
@@ -25,7 +25,7 @@ std::string FkDisplayValue(const RenderContext& ctx, const xuis::FkSpec& fk,
                     ReplaceAll(raw_value, "'", "''") + "'";
   db::ExecContext exec;
   exec.resolve_datalinks = false;
-  Result<db::QueryResult> r = ctx.database->Execute(sql, exec);
+  Result<db::QueryResult> r = ctx.query(sql, exec);
   if (!r.ok() || r->rows.empty() || r->rows[0][0].is_null()) return raw_value;
   return r->rows[0][0].ToDisplayString();
 }

@@ -1,6 +1,7 @@
 #ifndef EASIA_WEB_RENDERER_H_
 #define EASIA_WEB_RENDERER_H_
 
+#include <functional>
 #include <string>
 
 #include "common/result.h"
@@ -14,7 +15,10 @@ namespace easia::web {
 struct RenderContext {
   const xuis::XuisSpec* spec = nullptr;
   const xuis::XuisTable* table = nullptr;  // table the query ran against
-  db::Database* database = nullptr;        // FK substitute-column lookups
+  /// FK substitute-column lookups, through the page's own query path.
+  std::function<Result<db::QueryResult>(const std::string& sql,
+                                        const db::ExecContext& exec)>
+      query;
   const fs::FileServerFleet* fleet = nullptr;  // DATALINK size display
   bool is_guest = true;
 };

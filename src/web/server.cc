@@ -385,7 +385,10 @@ HttpResponse ArchiveWebServer::RenderQuery(const std::string& sql,
   RenderContext ctx;
   ctx.spec = &deps_.xuis->For(session.user.name);
   ctx.table = table;
-  ctx.database = db;
+  ctx.query = [this, db](const std::string& fk_sql,
+                         const db::ExecContext& fk_exec) {
+    return ExecuteQuery(db, fk_sql, fk_exec);
+  };
   ctx.fleet = deps_.fleet;
   ctx.is_guest = session.user.IsGuest();
   Result<std::string> html = RenderResultTable(*result, ctx);

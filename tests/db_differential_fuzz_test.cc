@@ -118,12 +118,19 @@ struct DmlCase {
   std::string table;
   std::string where;  // " WHERE ..." or "" (no WHERE, or an INSERT)
   bool insert = false;
+  size_t insert_rows = 0;
 };
 
 /// A random DML statement: by primary key, by foreign key, by range, OR,
 /// IS NULL or LIKE, or with no WHERE; PK-changing and duplicate-PK
 /// UPDATEs (shard migration), FK-violating writes and RESTRICT-violating
-/// parent updates and deletes all occur. INSERTs replenish the tables.
+/// parent updates and deletes all occur. INSERTs of 1-4 rows replenish
+/// the tables; multi-row ones spread their keys across shards. RE takes
+/// integral, quarter-fraction and +inf values (`1e308 * 10` literals,
+/// `RE * 1e308 * 10` updates). Every RE stays 0 or at least 0.25, so the
+/// updates give 0 or +inf and no expression yields NaN: quarter
+/// fractions and +inf sum exactly in any order, which keeps SUM and
+/// ORDER BY comparable across the arms.
 DmlCase RandomDml(Random& rng) {
   DmlCase c;
   bool sim = !rng.OneIn(3);
@@ -135,17 +142,33 @@ DmlCase RandomDml(Random& rng) {
     return rng.OneIn(6) ? std::string("NULL")
                         : std::to_string(1 + rng.Uniform(30));
   };
+  auto re = [&] {
+    static const char* kQuarters[] = {".25", ".5", ".75"};
+    switch (rng.Uniform(8)) {
+      case 0:
+        return std::string("1e308 * 10");  // overflows to +inf
+      case 1:
+      case 2:
+        return std::to_string(rng.Uniform(5000)) + kQuarters[rng.Uniform(3)];
+      default:
+        return std::to_string(rng.Uniform(5000));
+    }
+  };
   const uint64_t kind = rng.Uniform(10);
   if (kind < 3) {
     c.insert = true;
-    c.sql = sim ? "INSERT INTO SIMULATION VALUES (" + key() + ", " + author() +
-                      ", " + std::to_string(rng.Uniform(5000)) + ", 'title" +
-                      std::to_string(rng.Uniform(12)) + "')"
-                : "INSERT INTO AUTHOR VALUES (" + key() + ", 'name" +
-                      std::to_string(rng.Uniform(10)) + "', " +
-                      (rng.OneIn(5) ? std::string("NULL")
-                                    : std::to_string(rng.Uniform(60))) +
-                      ")";
+    c.insert_rows = rng.OneIn(2) ? 1 : 2 + rng.Uniform(3);
+    c.sql = "INSERT INTO " + c.table + " VALUES ";
+    for (size_t i = 0; i < c.insert_rows; ++i) {
+      if (i > 0) c.sql += ", ";
+      c.sql += sim ? "(" + key() + ", " + author() + ", " + re() + ", 'title" +
+                         std::to_string(rng.Uniform(12)) + "')"
+                   : "(" + key() + ", 'name" +
+                         std::to_string(rng.Uniform(10)) + "', " +
+                         (rng.OneIn(5) ? std::string("NULL")
+                                       : std::to_string(rng.Uniform(60))) +
+                         ")";
+    }
     return c;
   }
   const std::vector<std::string> cols =
@@ -189,7 +212,7 @@ DmlCase RandomDml(Random& rng) {
     return c;
   }
   std::string set;
-  switch (rng.Uniform(sim ? 6 : 4)) {
+  switch (rng.Uniform(sim ? 8 : 4)) {
     case 0:
       set = sim ? "RE = RE + 1" : "AGE = AGE + 1";
       break;
@@ -207,8 +230,15 @@ DmlCase RandomDml(Random& rng) {
     case 4:
       set = "AUTHOR_KEY = " + author();
       break;
-    default:
+    case 5:
       set = "AUTHOR_KEY = " + author() + ", RE = RE * 2";
+      break;
+    case 6:
+      set = "RE = RE * 1e308 * 10";
+      break;
+    default:  // a partition-key move that carries +inf values
+      set = pk + " = " + pk + " + " + std::to_string(1 + rng.Uniform(40)) +
+            ", RE = RE * 1e308 * 10";
   }
   c.sql = "UPDATE " + c.table + " SET " + set + c.where;
   return c;
@@ -434,7 +464,7 @@ class DifferentialFuzzTest : public ::testing::Test {
           << "\nrow: " << row.status().ToString();
     }
     if (row.ok()) {
-      size_t want = 1;
+      size_t want = dml.insert_rows;
       if (!dml.insert) {
         ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
         want = *oracle;

@@ -529,6 +529,145 @@ TEST(ShardDml, MultiRowInsertSplitsAcrossShards) {
   pair.Check("SELECT * FROM T ORDER BY ID");
 }
 
+TEST(ShardDml, SplitInsertCarriesNonFiniteDoubles) {
+  // Rows the coordinator splits across shards reach them as typed values,
+  // so overflowed, infinite, NaN and negative-zero doubles arrive intact.
+  ShardPair pair(4);
+  pair.Exec("CREATE TABLE T (ID INTEGER PRIMARY KEY, X DOUBLE) "
+            "PARTITION BY HASH(ID) PARTITIONS 4");
+  pair.Exec("INSERT INTO T VALUES (1, 1e308 * 10), (2, 0.5), (3, 0.25), "
+            "(4, 7)");
+  pair.Exec("INSERT INTO T VALUES (5, 'inf'), (6, 'nan'), (7, -0.0), "
+            "(8, -1e308 * 10), (9, 0.1)");
+  pair.Check("SELECT * FROM T ORDER BY ID", true);
+  pair.Check("SELECT ID FROM T", true);  // insertion order preserved
+}
+
+TEST(ShardDml, MigratingUpdateKeepsNonFiniteRow) {
+  // Moving a row to another shard re-inserts its stored values; an
+  // infinite value must neither fail the move nor lose the row.
+  ShardPair pair(4);
+  pair.Exec("CREATE TABLE T (ID INTEGER PRIMARY KEY, X DOUBLE) "
+            "PARTITION BY HASH(ID) PARTITIONS 4");
+  pair.Exec("INSERT INTO T VALUES (21, 1e308 * 10)");
+  pair.Exec("INSERT INTO T VALUES (22, 2.5)");
+  uint64_t before = pair.coord().counters().migrations;
+  pair.Exec("UPDATE T SET ID = ID + 100 WHERE ID = 21");
+  EXPECT_GT(pair.coord().counters().migrations, before);
+  pair.Check("SELECT * FROM T ORDER BY ID", true);
+}
+
+TEST(ShardDml, PkAssigningUpdateWritesNonFiniteValues) {
+  // A partition-key UPDATE writes each target by primary key (same shard)
+  // or as a delete plus insert (other shard); both carry computed
+  // infinities.
+  ShardPair pair(4);
+  pair.Exec("CREATE TABLE T (ID INTEGER PRIMARY KEY, X DOUBLE) "
+            "PARTITION BY HASH(ID) PARTITIONS 4");
+  pair.Exec("INSERT INTO T VALUES (1, 2), (2, -3), (3, 4.5), (4, 0.5), "
+            "(5, -6), (6, 7), (7, 8), (8, 9)");
+  pair.Exec("UPDATE T SET ID = ID + 40, X = X * 1e308 * 10 WHERE ID <= 8");
+  pair.Check("SELECT * FROM T ORDER BY ID", true);
+  pair.Check("SELECT ID, X FROM T", true);
+}
+
+TEST(ShardDml, AbortedFanOutUndoesEveryShard) {
+  // Shard 1's replica is unreachable, so its writes commit below the ack
+  // quorum (kAborted). The statement fails, and no shard primary may keep
+  // a row of it: a broadcast table stays identical on every shard, and a
+  // split INSERT stays atomic.
+  sim::Network net = MakeNet(2, 1);
+  ShardOptions options = MakeOptions(2, 1);
+  options.repl_options.ack_quorum = 1;
+  ShardCoordinator coord(&net, options);
+  ASSERT_TRUE(
+      coord.Execute("CREATE TABLE B (ID INTEGER PRIMARY KEY, V INTEGER)")
+          .ok());
+  ASSERT_TRUE(coord
+                  .Execute("CREATE TABLE P (ID INTEGER PRIMARY KEY, "
+                           "V INTEGER) PARTITION BY HASH(ID) PARTITIONS 2")
+                  .ok());
+  ASSERT_TRUE(net.SetLinkDown("s1", "s1-r1", true).ok());
+  Result<QueryResult> broadcast =
+      coord.Execute("INSERT INTO B VALUES (1, 1), (2, 2)");
+  ASSERT_FALSE(broadcast.ok());
+  EXPECT_EQ(broadcast.status().code(), StatusCode::kAborted);
+  Result<QueryResult> split = coord.Execute(
+      "INSERT INTO P VALUES (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), "
+      "(7, 7), (8, 8)");
+  ASSERT_FALSE(split.ok());
+  EXPECT_EQ(split.status().code(), StatusCode::kAborted);
+  for (size_t s = 0; s < coord.num_shards(); ++s) {
+    for (const char* table : {"B", "P"}) {
+      Result<const Table*> rows = coord.shard_db(s)->GetTable(table);
+      ASSERT_TRUE(rows.ok());
+      EXPECT_EQ((*rows)->RowCount(), 0u) << table << " on shard " << s;
+    }
+  }
+  // CREATE TABLE follows the same rule: dropped again on every shard.
+  Result<QueryResult> create =
+      coord.Execute("CREATE TABLE C (ID INTEGER PRIMARY KEY)");
+  ASSERT_FALSE(create.ok());
+  EXPECT_EQ(create.status().code(), StatusCode::kAborted);
+  for (size_t s = 0; s < coord.num_shards(); ++s) {
+    EXPECT_FALSE(coord.shard_db(s)->GetTable("C").ok()) << "shard " << s;
+  }
+  ASSERT_TRUE(net.SetLinkDown("s1", "s1-r1", false).ok());
+}
+
+/// The primary keys of `table`'s rows on shard `s`.
+std::set<int64_t> KeysOnShard(ShardCoordinator& coord, size_t s,
+                              const std::string& table) {
+  std::set<int64_t> keys;
+  Result<const Table*> rows = coord.shard_db(s)->GetTable(table);
+  EXPECT_TRUE(rows.ok()) << table;
+  if (rows.ok()) {
+    (*rows)->ForEachRow(
+        [&](RowId, const Row& row) { keys.insert(row[0].AsInt()); });
+  }
+  return keys;
+}
+
+TEST(ShardDml, AbortedMoveRestoresTheRow) {
+  // A partition-key UPDATE moves a row from shard 0 to shard 1, whose
+  // replica is unreachable: the INSERT there commits below quorum. The
+  // move is undone on both shards — the row is back under its old key on
+  // shard 0 and the new key is on no shard.
+  sim::Network net = MakeNet(2, 1);
+  ShardOptions options = MakeOptions(2, 1);
+  options.repl_options.ack_quorum = 1;
+  ShardCoordinator coord(&net, options);
+  for (const char* table : {"P", "PROBE"}) {
+    ASSERT_TRUE(coord
+                    .Execute(std::string("CREATE TABLE ") + table +
+                             " (ID INTEGER PRIMARY KEY, V INTEGER) "
+                             "PARTITION BY HASH(ID) PARTITIONS 2")
+                    .ok());
+  }
+  ASSERT_TRUE(coord.Execute("INSERT INTO P VALUES (1, 1), (2, 2), (3, 3), "
+                            "(4, 4)")
+                  .ok());
+  // PROBE routes like P, so its rows show which keys shard 1 owns.
+  ASSERT_TRUE(coord.Execute("INSERT INTO PROBE VALUES (101, 0), (102, 0), "
+                            "(103, 0), (104, 0)")
+                  .ok());
+  std::set<int64_t> on_shard0 = KeysOnShard(coord, 0, "P");
+  std::set<int64_t> shard1_keys = KeysOnShard(coord, 1, "PROBE");
+  ASSERT_FALSE(on_shard0.empty());
+  ASSERT_FALSE(shard1_keys.empty());
+  int64_t from = *on_shard0.begin();
+  int64_t to = *shard1_keys.begin();
+  ASSERT_TRUE(net.SetLinkDown("s1", "s1-r1", true).ok());
+  Result<QueryResult> moved =
+      coord.Execute("UPDATE P SET ID = " + std::to_string(to) +
+                    " WHERE ID = " + std::to_string(from));
+  ASSERT_FALSE(moved.ok());
+  EXPECT_EQ(moved.status().code(), StatusCode::kAborted);
+  EXPECT_EQ(KeysOnShard(coord, 0, "P"), on_shard0);
+  EXPECT_EQ(KeysOnShard(coord, 1, "P").count(to), 0u);
+  ASSERT_TRUE(net.SetLinkDown("s1", "s1-r1", false).ok());
+}
+
 TEST(ShardDml, BroadcastCopyAppliesEverywhereAndCompensatesOnFailure) {
   sim::Network net = MakeNet(2, 1);
   ShardOptions options = MakeOptions(2, 1);
@@ -583,8 +722,28 @@ TEST(ShardDml, BroadcastCopyAppliesEverywhereAndCompensatesOnFailure) {
   Result<QueryResult> count = coord.Execute("SELECT COUNT(*) FROM B");
   ASSERT_TRUE(count.ok());
   EXPECT_EQ(count->rows[0][0].AsInt(), 11);
+
+  // A bad chunk: the first four-row chunk loads, the second repeats key 1,
+  // so shard 0 commits chunk 1 before failing with an ordinary error. It
+  // must be undone there too, or shard 0 alone would keep rows 50..53.
+  std::vector<Row> bad;
+  for (int i : {50, 51, 52, 53, 54, 1, 56, 57}) {
+    bad.push_back({Value::Integer(i), Value::Integer(i)});
+  }
+  std::string path3 = ::testing::TempDir() + "easia_shard_bcast3.ebk";
+  ASSERT_TRUE(
+      store::WriteBulkFile(io::RealEnv(), path3, **def, bad, 4).ok());
+  Result<QueryResult> dup = coord.Execute("COPY B FROM '" + path3 + "'");
+  ASSERT_FALSE(dup.ok());
+  EXPECT_EQ(dup.status().code(), StatusCode::kConstraintViolation);
+  for (size_t s = 0; s < coord.num_shards(); ++s) {
+    Result<const Table*> table = coord.shard_db(s)->GetTable("B");
+    ASSERT_TRUE(table.ok());
+    EXPECT_EQ((*table)->RowCount(), 11u) << "shard " << s;
+  }
   (void)std::remove(path.c_str());
   (void)std::remove(path2.c_str());
+  (void)std::remove(path3.c_str());
 }
 
 TEST(ShardDml, TransactionsAndPartitionedCopyRejected) {
@@ -826,6 +985,70 @@ TEST(ShardWeb, BrowseAndStatsRouteThroughCoordinator) {
       << resp.body;
   EXPECT_NE(resp.body.find("s3"), std::string::npos);
   EXPECT_NE(resp.body.find("partitioned rows"), std::string::npos);
+}
+
+/// The author names a guest's /search over SIM shows when AUTHOR_KEY cells
+/// substitute AUTHOR.NAME, through a web server over `database` (routed
+/// through `shard` when set).
+std::set<std::string> SearchedAuthorNames(Database* database,
+                                          ShardCoordinator* shard,
+                                          const xuis::XuisSpec& spec) {
+  xuis::XuisRegistry registry;
+  registry.SetDefault(spec);
+  web::UserManager users;
+  ManualClock clock(0);
+  web::SessionManager sessions(&users, &clock);
+  web::ArchiveWebServer::Deps deps;
+  deps.database = database;
+  deps.xuis = &registry;
+  deps.users = &users;
+  deps.sessions = &sessions;
+  deps.shard = shard;
+  web::ArchiveWebServer server(deps);
+  web::HttpRequest login;
+  login.path = "/login";
+  login.params = {{"user", "guest"}, {"password", "guest"}};
+  web::HttpResponse resp = server.Handle(login);
+  EXPECT_EQ(resp.status, 200) << resp.body;
+  web::HttpRequest search;
+  search.path = "/search";
+  search.params = {{"table", "SIM"}, {"all", "1"}};
+  search.session_id = resp.body;
+  resp = server.Handle(search);
+  EXPECT_EQ(resp.status, 200) << resp.body;
+  std::set<std::string> names;
+  for (int i = 0; i < 8; ++i) {
+    std::string name = "writer" + std::to_string(i);
+    if (resp.body.find(name) != std::string::npos) names.insert(name);
+  }
+  return names;
+}
+
+TEST(ShardWeb, FkSubstitutionFindsParentsOnEveryShard) {
+  ShardPair pair(4);
+  pair.Exec("CREATE TABLE AUTHOR (AUTHOR_KEY INTEGER PRIMARY KEY, "
+            "NAME VARCHAR(16)) PARTITION BY HASH(AUTHOR_KEY) PARTITIONS 4");
+  pair.Exec("CREATE TABLE SIM (SIM_KEY INTEGER PRIMARY KEY, "
+            "AUTHOR_KEY INTEGER, "
+            "FOREIGN KEY (AUTHOR_KEY) REFERENCES AUTHOR (AUTHOR_KEY)) "
+            "PARTITION BY HASH(SIM_KEY) PARTITIONS 4");
+  for (int i = 0; i < 8; ++i) {
+    pair.Exec("INSERT INTO AUTHOR VALUES (" + std::to_string(i) +
+              ", 'writer" + std::to_string(i) + "')");
+    pair.Exec("INSERT INTO SIM VALUES (" + std::to_string(100 + i) + ", " +
+              std::to_string(i) + ")");
+  }
+  // One spec for both servers, so only the query path differs.
+  Result<xuis::XuisSpec> spec = xuis::GenerateDefaultXuis(pair.reference());
+  ASSERT_TRUE(spec.ok()) << spec.status().message();
+  ASSERT_TRUE(xuis::XuisCustomizer(&*spec)
+                  .SetFkSubstitution("SIM.AUTHOR_KEY", "AUTHOR.NAME")
+                  .ok());
+  std::set<std::string> single =
+      SearchedAuthorNames(&pair.reference(), nullptr, *spec);
+  EXPECT_EQ(single.size(), 8u);
+  EXPECT_EQ(SearchedAuthorNames(pair.coord().shard_db(0), &pair.coord(), *spec),
+            single);
 }
 
 }  // namespace
