@@ -536,9 +536,10 @@ Status BuildRowsPlanned(const SelectPlan& plan,
 
   // Materialise each remaining scan through its access path, keeping the
   // source RowId of every surviving row (order restoration needs them).
-  // Pushed predicates are re-evaluated on every fetched row — including
-  // index hits — so the index key coercion can never change which rows
-  // qualify.
+  // Pushed predicates are evaluated on every visited row — including index
+  // hits and kernel survivors — so the access path can only narrow the
+  // candidate set, never change which rows qualify. A row is copied only
+  // once it passes.
   std::vector<std::vector<Row>> base(n);
   std::vector<std::vector<RowId>> base_ids(n);
   for (size_t i = 0; i < n; ++i) {
@@ -546,39 +547,38 @@ Status BuildRowsPlanned(const SelectPlan& plan,
     const ScanPlan& scan = plan.scans[i];
     obs::Tracer::Scope span(tracer, "exec:scan:" + scan.alias);
     TimeGuard tg(profile != nullptr ? &profile->scans[i].seconds : nullptr);
-    std::vector<Row> fetched;
-    std::vector<RowId> fetched_ids;
+    auto passes = [&](const Row& row) -> Result<bool> {
+      EvalEnv env{&scan_schemas[i], &row};
+      for (const Expr* e : scan.pushed) {
+        EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));
+        if (!IsTruthy(v)) return false;
+      }
+      return true;
+    };
     if (scan.access == ScanPlan::Access::kSeqScan && !scan.kernel_filter) {
-      scan.table->ForEachRow([&fetched, &fetched_ids](RowId id,
-                                                      const Row& row) {
-        fetched.push_back(row);
-        fetched_ids.push_back(id);
+      // ForEachRow cannot stop early: rows after the first error (in
+      // RowId order, the one reported) are skipped.
+      Status status = Status::OK();
+      scan.table->ForEachRow([&](RowId id, const Row& row) {
+        if (!status.ok()) return;
+        Result<bool> keep = passes(row);
+        if (!keep.ok()) {
+          status = keep.status();
+        } else if (*keep) {
+          base[i].push_back(row);
+          base_ids[i].push_back(id);
+        }
       });
+      EASIA_RETURN_IF_ERROR(status);
     } else {
-      // Index hits, radix prefix candidates or filter-kernel survivors:
-      // only these rows are materialised. The pushed predicates are still
-      // re-evaluated below, so the access path can only narrow the
-      // candidate set, never change which rows qualify.
       EASIA_ASSIGN_OR_RETURN(std::vector<RowId> ids, CandidateRowIds(scan));
       for (RowId id : ids) {
         EASIA_ASSIGN_OR_RETURN(Row row, scan.table->Get(id));
-        fetched.push_back(std::move(row));
-        fetched_ids.push_back(id);
-      }
-    }
-    for (size_t r = 0; r < fetched.size(); ++r) {
-      EvalEnv env{&scan_schemas[i], &fetched[r]};
-      bool keep = true;
-      for (const Expr* e : scan.pushed) {
-        EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));
-        if (!IsTruthy(v)) {
-          keep = false;
-          break;
+        EASIA_ASSIGN_OR_RETURN(bool keep, passes(row));
+        if (keep) {
+          base[i].push_back(std::move(row));
+          base_ids[i].push_back(id);
         }
-      }
-      if (keep) {
-        base[i].push_back(std::move(fetched[r]));
-        base_ids[i].push_back(fetched_ids[r]);
       }
     }
     if (profile != nullptr) {
@@ -656,8 +656,10 @@ Status BuildRowsPlanned(const SelectPlan& plan,
           }
         }
         keyed.push_back(std::move(kr));
+      } else if (n == 1) {
+        out.push_back(std::move(so_far));  // the caller drops it next
       } else {
-        out.push_back(so_far);
+        out.push_back(so_far);  // the join loop still extends it
       }
       ++produced;
       return cutoff >= 0 && produced >= cutoff;
@@ -745,7 +747,7 @@ Status BuildRowsPlanned(const SelectPlan& plan,
     obs::Tracer::Scope span(tracer, n > 1 ? "exec:join-pipeline"
                                           : "exec:scan-output");
     for (size_t r = 0; r < base[0].size(); ++r) {
-      Row so_far = base[0][r];
+      Row so_far = std::move(base[0][r]);  // base[0] is never a join input
       rid_stack[0] = base_ids[0][r];
       EASIA_ASSIGN_OR_RETURN(bool stop, extend(so_far, 1));
       if (stop) break;

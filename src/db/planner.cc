@@ -264,14 +264,14 @@ void ChooseAccessPath(ScanPlan* scan,
   }
 }
 
-/// A columnar seq scan whose pushed conjuncts all convert runs the
-/// vectorised filter instead of materialising every row. All-or-nothing:
-/// partial conversion could change which conjunct errors first.
+/// A seq scan whose pushed conjuncts all convert runs the filter kernel
+/// (Table::FilterScan, either layout) instead of copying every row.
+/// All-or-nothing: partial conversion could change which conjunct errors
+/// first.
 void ChooseKernelFilter(ScanPlan* scan,
                         const std::vector<AliasSchema>& aliases,
                         size_t alias_index) {
-  if (scan->access != ScanPlan::Access::kSeqScan || scan->pushed.empty() ||
-      scan->table->storage_kind() != Table::StorageKind::kColumnar) {
+  if (scan->access != ScanPlan::Access::kSeqScan || scan->pushed.empty()) {
     return;
   }
   std::vector<store::ColPredicate> preds;
@@ -771,7 +771,7 @@ Result<SelectPlan> PlanSelect(const SelectStmt& stmt,
     ChooseAccessPath(&prepared[i], aliases, i);
   }
 
-  // --- Columnar filter kernels ---
+  // --- Scan filter kernels ---
   for (size_t i = 0; i < n; ++i) {
     ChooseKernelFilter(&prepared[i], aliases, i);
   }
@@ -938,7 +938,7 @@ Result<std::vector<RowId>> CandidateRowIds(const ScanPlan& scan) {
       if (!scan.kernel_filter) {
         return Status::Internal("CandidateRowIds: plain sequential scan");
       }
-      return scan.table->column_store()->FilterScan(scan.kernel_predicates);
+      return scan.table->FilterScan(scan.kernel_predicates);
     case ScanPlan::Access::kPrefixScan:
       // A superset of the LIKE matches: the pattern's wildcard tail still
       // applies through the pushed LIKE conjunct.
@@ -1026,7 +1026,7 @@ std::vector<std::string> SelectPlan::Describe() const {
     }
     if (!scan.pushed.empty()) {
       line += ", pushed: " + DescribeExprList(scan.pushed);
-      if (scan.kernel_filter) line += " [columnar filter]";
+      if (scan.kernel_filter) line += " [filter kernel]";
     }
     lines.push_back(std::move(line));
   }

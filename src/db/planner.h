@@ -45,11 +45,11 @@ struct ScanPlan {
   /// row (including index hits), so an index choice can never change which
   /// rows qualify.
   std::vector<const Expr*> pushed;
-  /// Columnar seq scans only: every pushed conjunct translated into a
-  /// ColumnStore predicate, so the executor can run the filter kernel
-  /// instead of materialising every row. Set only when ALL pushed
-  /// conjuncts convert (partial conversion could reorder which predicate
-  /// errors first).
+  /// Seq scans on either layout: every pushed conjunct translated into a
+  /// kernel predicate, so the executor runs Table::FilterScan and copies
+  /// only the rows that pass instead of every row. Set only when ALL
+  /// pushed conjuncts convert (partial conversion could reorder which
+  /// predicate errors first).
   bool kernel_filter = false;
   std::vector<store::ColPredicate> kernel_predicates;
 };
@@ -174,7 +174,7 @@ struct DmlTargets {
 /// Selects the target rows of UPDATE/DELETE on `table`: the rows on which
 /// `where` (null: every row) is truthy. The WHERE takes the same
 /// single-table access paths as a planned SELECT scan — unique lookup,
-/// secondary (FK) index, radix prefix, columnar filter kernel — and the
+/// secondary (FK) index, radix prefix, filter kernel — and the
 /// whole WHERE is re-evaluated on every candidate, so an index narrows the
 /// rows visited but never changes which qualify. A conjunct with an
 /// unknown or ambiguous column keeps the full scan, which then reports the

@@ -58,7 +58,50 @@ struct GroupState {
   std::vector<AggAcc> accs;
 };
 
+/// -1, 0 or 1, with Value::Compare's NaN rule (unordered reads as equal).
+template <typename T>
+int ThreeWay(T lhs, T rhs) {
+  return lhs < rhs ? -1 : (lhs > rhs ? 1 : 0);
+}
+
+/// Whether a three-way comparison result satisfies a comparison operator.
+bool ComparisonPasses(ColPredicate::Op op, int cmp) {
+  switch (op) {
+    case ColPredicate::Op::kEq:
+      return cmp == 0;
+    case ColPredicate::Op::kNe:
+      return cmp != 0;
+    case ColPredicate::Op::kLt:
+      return cmp < 0;
+    case ColPredicate::Op::kLe:
+      return cmp <= 0;
+    case ColPredicate::Op::kGt:
+      return cmp > 0;
+    case ColPredicate::Op::kGe:
+      return cmp >= 0;
+    default:
+      return false;
+  }
+}
+
 }  // namespace
+
+bool CellMatches(const ColPredicate& p, const Value& cell) {
+  switch (p.op) {
+    case ColPredicate::Op::kIsNull:
+      return cell.is_null();
+    case ColPredicate::Op::kIsNotNull:
+      return !cell.is_null();
+    default:
+      break;
+  }
+  if (cell.is_null() || p.literal.is_null()) return false;
+  if (p.op == ColPredicate::Op::kLike || p.op == ColPredicate::Op::kNotLike) {
+    bool match = LikeMatch(cell.AsString(), p.literal.AsString());
+    return p.op == ColPredicate::Op::kLike ? match : !match;
+  }
+  return ComparisonPasses(p.op, cell.Compare(p.literal));
+}
 
 ColumnStore::ColumnStore(const TableDef& def) {
   columns_.reserve(def.columns.size());
@@ -277,29 +320,16 @@ bool ColumnStore::EvalPredicate(const ColPredicate& p, size_t slot) const {
   int cmp;
   if (IsText(c.type)) {
     cmp = std::string_view(TextAt(c, slot)).compare(p.literal.AsString());
+  } else if (IsFixedInt(c.type) && p.literal.type() != DataType::kDouble) {
+    // Two integer-backed values compare exactly, as in Value::Compare:
+    // through double, distinct values past 2^53 would tie.
+    cmp = ThreeWay(c.ints[slot], p.literal.AsInt());
   } else {
-    // Value::Compare collapses the numeric family onto double.
     double lhs = IsFixedInt(c.type) ? static_cast<double>(c.ints[slot])
                                     : c.doubles[slot];
-    double rhs = p.literal.AsDouble();
-    cmp = lhs < rhs ? -1 : (lhs > rhs ? 1 : 0);
+    cmp = ThreeWay(lhs, p.literal.AsDouble());
   }
-  switch (p.op) {
-    case ColPredicate::Op::kEq:
-      return cmp == 0;
-    case ColPredicate::Op::kNe:
-      return cmp != 0;
-    case ColPredicate::Op::kLt:
-      return cmp < 0;
-    case ColPredicate::Op::kLe:
-      return cmp <= 0;
-    case ColPredicate::Op::kGt:
-      return cmp > 0;
-    case ColPredicate::Op::kGe:
-      return cmp >= 0;
-    default:
-      return false;
-  }
+  return ComparisonPasses(p.op, cmp);
 }
 
 bool ColumnStore::PassesAll(const std::vector<ColPredicate>& preds,

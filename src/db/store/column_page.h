@@ -42,6 +42,11 @@ struct ColPredicate {
   Value literal;  // unused for IS [NOT] NULL
 };
 
+/// Tests `p` on one stored cell with the executor's own calls
+/// (Value::Compare, LikeMatch), NULL and unknown both rejecting as in
+/// IsTruthy. The row-store scan kernel runs this on cells in place.
+bool CellMatches(const ColPredicate& p, const Value& cell);
+
 /// One aggregate function in kernel form.
 struct AggSpec {
   enum class Fn { kCountStar, kCount, kSum, kMin, kMax, kAvg };
@@ -69,7 +74,9 @@ struct AggGroup {
 /// Scan kernels (FilterScan / AggregateScan) run over the raw arrays
 /// without materialising Values, which is where the columnar layout pays:
 /// the row path pays a Row materialisation plus expression-tree walk per
-/// row, the kernels pay a branch and a comparison per cell.
+/// row, the kernels pay a branch and a comparison per cell. Kernel
+/// comparisons follow Value::Compare: two integer-backed values compare
+/// as int64, anything else numeric as double.
 class ColumnStore {
  public:
   explicit ColumnStore(const TableDef& def);

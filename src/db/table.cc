@@ -357,6 +357,21 @@ void Table::ForEachRow(
   for (const auto& [id, row] : rows_) fn(id, row);
 }
 
+std::vector<RowId> Table::FilterScan(
+    const std::vector<store::ColPredicate>& predicates) const {
+  if (column_store_) return column_store_->FilterScan(predicates);
+  std::vector<RowId> out;
+  for (const auto& [id, row] : rows_) {
+    if (std::all_of(predicates.begin(), predicates.end(),
+                    [&row](const store::ColPredicate& p) {
+                      return store::CellMatches(p, row[p.column]);
+                    })) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
 Result<RowId> Table::FindUnique(const std::vector<std::string>& columns,
                                 const std::vector<Value>& key_values) const {
   if (columns.size() != key_values.size()) {

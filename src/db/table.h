@@ -82,8 +82,15 @@ class Table {
   /// order for both storage kinds).
   void ForEachRow(const std::function<void(RowId, const Row&)>& fn) const;
 
+  /// The scan filter kernel, on either layout: RowIds of live rows
+  /// satisfying every predicate, ascending. A columnar table runs
+  /// ColumnStore::FilterScan over its arrays; a row-store table tests
+  /// each stored cell in place (store::CellMatches). No row is copied.
+  std::vector<RowId> FilterScan(
+      const std::vector<store::ColPredicate>& predicates) const;
+
   /// The columnar page store, or null for a row-store table. The planner
-  /// and executor use it for filter/aggregate kernels.
+  /// and executor use it for the aggregate kernel.
   const store::ColumnStore* column_store() const {
     return column_store_.get();
   }

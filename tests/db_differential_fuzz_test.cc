@@ -720,7 +720,8 @@ TEST_F(DifferentialFuzzTest, NearInt64MaxAggregates) {
   // planner fast path and the columnar aggregation kernel must widen (or
   // saturate) identically, so a sum that would wrap in 64 bits renders
   // the same on all four paths. Seeded values cluster at +/-INT64_MAX so
-  // two-element partial sums already overflow.
+  // two-element partial sums already overflow, and WHERE clauses compare
+  // V with the seeded boundary values themselves.
   ExecBoth(
       "CREATE TABLE EXTREME ("
       " ID INTEGER NOT NULL,"
@@ -757,19 +758,20 @@ TEST_F(DifferentialFuzzTest, NearInt64MaxAggregates) {
       sql += kAggs[rng.Uniform(5)];
     }
     sql += " FROM EXTREME";
-    switch (rng.Uniform(4)) {
-      case 0:
-        sql += " WHERE V > 0";
-        break;
-      case 1:
-        sql += " WHERE V < 0";
-        break;
-      case 2:
-        sql += " WHERE V IS NOT NULL";
-        break;
-      default:
-        break;  // unfiltered: the full +/-INT64_MAX mix
-    }
+    // The boundary comparisons pick out values that share a double with a
+    // neighbour, so a filter comparing through double disagrees with the
+    // exact row path.
+    static const char* kWheres[] = {
+        " WHERE V > 0",
+        " WHERE V < 0",
+        " WHERE V IS NOT NULL",
+        " WHERE V > 9223372036854775806",
+        " WHERE V = 9223372036854775806",
+        " WHERE V < -9223372036854775806",
+        " WHERE V >= 4611686018427387904",
+        "",  // unfiltered: the full +/-INT64_MAX mix
+    };
+    sql += kWheres[rng.Uniform(8)];
     if (grouped) sql += " GROUP BY G";
     CheckEquivalent(sql, /*ordered=*/false);
     if (HasFatalFailure() || HasNonfatalFailure()) return;
