@@ -7,23 +7,54 @@
 //   * wall-clock request latency of synchronous /runop (operation executes
 //     inside the request) vs asynchronous /jobs/submit (request only queues);
 //   * queue drain throughput (jobs/second through the scheduler's
-//     deterministic worker step).
+//     deterministic worker step);
+//   * the operation data path every job runs: per-call cost of decoding
+//     and encoding a 32³ TBF dataset already in memory, and of each native
+//     operation over it, as a JSON block (schema versioned, tagged with the
+//     build revision; BENCH_F8.json keeps it).
+//
+// `--smoke` runs as a ctest gate and exits non-zero when ParseTbf of the
+// 32³ dataset costs more than 4x copying the same bytes into a fresh
+// std::string (min of 5 interleaved trials): decoding must run at memory
+// speed, not one value at a time.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/string_util.h"
 #include "core/archive.h"
 #include "core/turbulence_setup.h"
+#include "ops/native.h"
+#include "turbulence/field.h"
+#include "turbulence/tbf.h"
+
+#ifndef EASIA_BENCH_REV
+#define EASIA_BENCH_REV "unknown"
+#endif
+#ifndef EASIA_BUILD_TYPE
+#define EASIA_BUILD_TYPE "unknown"
+#endif
 
 namespace {
 
 using namespace easia;
+
+/// The data-path record and its gate: a 32³ dataset (1,048,604 bytes, the
+/// archbench analyse size), each figure the best of kDataPathTrials
+/// interleaved trials of kDataPathIters calls.
+constexpr size_t kDataPathGrid = 32;
+constexpr int kDataPathTrials = 5;
+constexpr int kDataPathIters = 20;
+constexpr double kParseToCopyGate = 4.0;
 
 struct Bench {
   std::unique_ptr<core::Archive> archive;
@@ -59,6 +90,98 @@ double MicrosPerCall(const std::function<void()>& fn, int iters) {
   auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::micro>(end - start).count() /
          iters;
+}
+
+/// Times every case once per trial, round-robin, so host drift hits them
+/// all alike; returns each case's best per-call microseconds.
+std::vector<double> BestOfInterleaved(
+    const std::vector<std::function<void()>>& cases) {
+  std::vector<double> best(cases.size(),
+                           std::numeric_limits<double>::infinity());
+  for (int t = 0; t < kDataPathTrials; ++t) {
+    for (size_t c = 0; c < cases.size(); ++c) {
+      best[c] = std::min(best[c], MicrosPerCall(cases[c], kDataPathIters));
+    }
+  }
+  return best;
+}
+
+/// Prints the data-path JSON block; returns the number of gate violations
+/// (the gate applies only under --smoke).
+int RunDataPath(bool smoke) {
+  turb::Field field = turb::Field::Generate(kDataPathGrid, 0.5);
+  const std::string bytes = turb::SerializeTbf(field, 0);
+  std::vector<std::function<void()>> cases = {
+      [&] {
+        std::string copy(bytes);
+        benchmark::DoNotOptimize(copy.data());
+      },
+      [&] {
+        Result<turb::Field> parsed = turb::ParseTbf(bytes);
+        if (!parsed.ok()) std::abort();
+        benchmark::DoNotOptimize(parsed->At(turb::Component::kP, 0, 0, 0));
+      },
+      [&] {
+        std::string out = turb::SerializeTbf(field, 0);
+        benchmark::DoNotOptimize(out.data());
+      },
+  };
+  // The five native operations, with parameters from the ranges
+  // archbench's analyse sessions draw from.
+  const std::vector<std::pair<std::string, fs::HttpParams>> kOps = {
+      {"GetImage", {{"slice", "x16"}, {"type", "u"}}},
+      {"FieldStats", {}},
+      {"SliceCsv", {{"slice", "x8"}, {"type", "p"}}},
+      {"Subsample", {{"factor", "2"}}},
+      {"KineticEnergy", {}},
+  };
+  ops::NativeRegistry natives = ops::NativeRegistry::BuiltIns();
+  for (const auto& [name, params] : kOps) {
+    const ops::NativeOperation* op = *natives.Get(name);
+    cases.push_back([&bytes, op, &params = params] {
+      Result<ops::OperationOutput> out = op->run(bytes, params);
+      if (!out.ok()) std::abort();
+      benchmark::DoNotOptimize(out->text.data());
+    });
+  }
+  std::vector<double> us = BestOfInterleaved(cases);
+  double parse_to_copy = us[1] / us[0];
+
+  std::printf("\n=== F8: operation data path (%zu^3 dataset, %zu bytes, "
+              "best of %d x %d calls) ===\n",
+              kDataPathGrid, bytes.size(), kDataPathTrials, kDataPathIters);
+  std::printf("%-28s %12.1f us/call\n", "copy bytes (std::string)", us[0]);
+  std::printf("%-28s %12.1f us/call  (%.2fx the copy; gate %.0fx)\n",
+              "ParseTbf", us[1], parse_to_copy, kParseToCopyGate);
+  std::printf("%-28s %12.1f us/call\n", "SerializeTbf", us[2]);
+  for (size_t i = 0; i < kOps.size(); ++i) {
+    std::printf("%-28s %12.1f us/call\n", kOps[i].first.c_str(), us[3 + i]);
+  }
+  std::printf("{\"bench\":\"f8_job_throughput\",\"schema\":1,"
+              "\"rev\":\"%s\",\"build_type\":\"%s\",\"nproc\":%u,\n",
+              EASIA_BENCH_REV, EASIA_BUILD_TYPE,
+              std::thread::hardware_concurrency());
+  std::printf(" \"data_path\":{\"grid_n\":%zu,\"dataset_bytes\":%zu,"
+              "\"trials\":%d,\"iters\":%d,\n",
+              kDataPathGrid, bytes.size(), kDataPathTrials, kDataPathIters);
+  std::printf("  \"copy_us\":%.1f,\"parse_us\":%.1f,\"parse_to_copy\":%.2f,"
+              "\"serialize_us\":%.1f,\n",
+              us[0], us[1], parse_to_copy, us[2]);
+  std::printf("  \"native_us\":{");
+  for (size_t i = 0; i < kOps.size(); ++i) {
+    std::printf("%s\"%s\":%.1f", i > 0 ? "," : "", kOps[i].first.c_str(),
+                us[3 + i]);
+  }
+  std::printf("}}}\n\n");
+
+  if (smoke && parse_to_copy > kParseToCopyGate) {
+    std::fprintf(stderr,
+                 "f8: ParseTbf costs %.2fx a copy of the same bytes, above "
+                 "the %.0fx gate\n",
+                 parse_to_copy, kParseToCopyGate);
+    return 1;
+  }
+  return 0;
 }
 
 void PrintReproduction() {
@@ -166,7 +289,21 @@ BENCHMARK(BM_QueueDrain)->Unit(benchmark::kMicrosecond);
 }  // namespace
 
 int main(int argc, char** argv) {
+  bool smoke = false;
+  // Strip our flag before benchmark::Initialize; ctest runs
+  // `bench_f8_job_throughput --smoke` on every build.
+  for (int i = 1; i < argc;) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
+      --argc;
+    } else {
+      ++i;
+    }
+  }
   PrintReproduction();
+  if (RunDataPath(smoke) != 0) return 1;
+  if (smoke) return 0;
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,5 +1,6 @@
 #include "common/coding.h"
 
+#include <bit>
 #include <cstring>
 
 namespace easia {
@@ -24,6 +25,15 @@ void PutDouble(std::string* dst, double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, 8);
   PutU64(dst, bits);
+}
+
+void PutDoubles(std::string* dst, std::span<const double> values) {
+  if constexpr (std::endian::native == std::endian::little) {
+    dst->append(reinterpret_cast<const char*>(values.data()),
+                values.size_bytes());
+  } else {
+    for (double v : values) PutDouble(dst, v);
+  }
 }
 
 void PutLengthPrefixed(std::string* dst, std::string_view s) {
@@ -63,6 +73,21 @@ Result<double> Decoder::GetDouble() {
   double v;
   std::memcpy(&v, &bits, 8);
   return v;
+}
+
+Status Decoder::GetDoubles(std::span<double> out) {
+  if (out.size() > remaining() / sizeof(double)) {
+    return Status::Corruption("decoder: short f64 block");
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!out.empty()) {
+      std::memcpy(out.data(), data_.data() + pos_, out.size_bytes());
+    }
+    pos_ += out.size_bytes();
+  } else {
+    for (double& v : out) v = *GetDouble();
+  }
+  return Status::OK();
 }
 
 Result<std::string> Decoder::GetLengthPrefixed() {

@@ -2,6 +2,7 @@
 #define EASIA_COMMON_CODING_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -15,6 +16,9 @@ void PutU8(std::string* dst, uint8_t v);
 void PutU32(std::string* dst, uint32_t v);
 void PutU64(std::string* dst, uint64_t v);
 void PutDouble(std::string* dst, double v);
+/// Appends `values` in PutDouble's encoding: one block copy on
+/// little-endian hosts, the per-value loop elsewhere.
+void PutDoubles(std::string* dst, std::span<const double> values);
 void PutLengthPrefixed(std::string* dst, std::string_view s);
 
 /// A sequential decoder over a byte string. All Get* methods fail with
@@ -27,6 +31,9 @@ class Decoder {
   Result<uint32_t> GetU32();
   Result<uint64_t> GetU64();
   Result<double> GetDouble();
+  /// Fills `out` with the next out.size() doubles (GetDouble's encoding)
+  /// as one block; fails without consuming anything if fewer remain.
+  Status GetDoubles(std::span<double> out);
   Result<std::string> GetLengthPrefixed();
 
   bool Done() const { return pos_ >= data_.size(); }

@@ -20,6 +20,25 @@ struct Staged {
   fs::FileStat stat;
 };
 
+/// The dataset a script runs over. Its bytes are read once and shared by
+/// every host function; the tbf_* helpers parse them on first use and
+/// reuse the Field, or the parse error, for the rest of the run.
+struct ScriptDataset {
+  std::string path;
+  std::string bytes;
+  std::optional<Result<turb::Field>> field;
+
+  Result<const turb::Field*> LoadField(const script::ScriptValue& arg) {
+    if (!arg.IsString() || arg.AsString() != path) {
+      return Status::PermissionDenied(
+          "sandbox: tbf_* functions accept only the dataset file");
+    }
+    if (!field.has_value()) field = turb::ParseTbf(bytes);
+    if (!field->ok()) return field->status();
+    return &field->value();
+  }
+};
+
 std::string EscapeSqlString(const std::string& v) {
   return ReplaceAll(v, "'", "''");
 }
@@ -464,24 +483,24 @@ Result<OperationResult> OperationEngine::ExecuteScript(
     return Status::FailedPrecondition(
         "uploaded code cannot run over a sparse (simulated) dataset");
   }
-  EASIA_ASSIGN_OR_RETURN(std::string dataset_bytes,
-                         server->vfs().ReadFile(url.path));
+  auto dataset = std::make_shared<ScriptDataset>();
+  dataset->path = url.path;
+  EASIA_ASSIGN_OR_RETURN(dataset->bytes, server->vfs().ReadFile(url.path));
 
   // Sandboxed host functions: the script sees exactly the dataset file and
   // a write-only relative-name output surface (the paper's temp dir).
   auto written = std::make_shared<std::vector<std::pair<std::string,
                                                         std::string>>>();
-  auto dataset_path = url.path;
   script::Interpreter interp(sandbox_limits_);
   using script::ScriptValue;
   interp.RegisterFunction(
-      "read", [dataset_bytes, dataset_path, written](
+      "read", [dataset, written](
                   std::vector<ScriptValue>& args) -> Result<ScriptValue> {
         if (args.size() != 1 || !args[0].IsString()) {
           return Status::InvalidArgument("read(name) expects a string");
         }
         const std::string& name = args[0].AsString();
-        if (name == dataset_path) return ScriptValue::Str(dataset_bytes);
+        if (name == dataset->path) return ScriptValue::Str(dataset->bytes);
         for (const auto& [n, bytes] : *written) {
           if (n == name) return ScriptValue::Str(bytes);
         }
@@ -510,32 +529,26 @@ Result<OperationResult> OperationEngine::ExecuteScript(
       });
   // TBF helpers so uploaded codes can post-process without re-implementing
   // the format byte-by-byte.
-  auto load_field = [dataset_bytes, dataset_path](
-                        const ScriptValue& arg) -> Result<turb::Field> {
-    if (!arg.IsString() || arg.AsString() != dataset_path) {
-      return Status::PermissionDenied(
-          "sandbox: tbf_* functions accept only the dataset file");
-    }
-    return turb::ParseTbf(dataset_bytes);
-  };
   interp.RegisterFunction(
-      "tbf_n", [load_field](std::vector<ScriptValue>& args)
+      "tbf_n", [dataset](std::vector<ScriptValue>& args)
                    -> Result<ScriptValue> {
         if (args.size() != 1) {
           return Status::InvalidArgument("tbf_n(file)");
         }
-        EASIA_ASSIGN_OR_RETURN(turb::Field field, load_field(args[0]));
-        return ScriptValue::Number(static_cast<double>(field.n()));
+        EASIA_ASSIGN_OR_RETURN(const turb::Field* field,
+                               dataset->LoadField(args[0]));
+        return ScriptValue::Number(static_cast<double>(field->n()));
       });
   interp.RegisterFunction(
       "tbf_slice",
-      [load_field](std::vector<ScriptValue>& args) -> Result<ScriptValue> {
+      [dataset](std::vector<ScriptValue>& args) -> Result<ScriptValue> {
         if (args.size() != 4 || !args[1].IsString() || !args[2].IsNumber() ||
             !args[3].IsString()) {
           return Status::InvalidArgument(
               "tbf_slice(file, axis, index, component)");
         }
-        EASIA_ASSIGN_OR_RETURN(turb::Field field, load_field(args[0]));
+        EASIA_ASSIGN_OR_RETURN(const turb::Field* field,
+                               dataset->LoadField(args[0]));
         EASIA_ASSIGN_OR_RETURN(turb::Component comp,
                                turb::ComponentFromName(args[3].AsString()));
         if (args[1].AsString().empty()) {
@@ -543,8 +556,8 @@ Result<OperationResult> OperationEngine::ExecuteScript(
         }
         EASIA_ASSIGN_OR_RETURN(
             turb::Slice2D slice,
-            field.Slice(args[1].AsString()[0],
-                        static_cast<size_t>(args[2].AsNumber()), comp));
+            field->Slice(args[1].AsString()[0],
+                         static_cast<size_t>(args[2].AsNumber()), comp));
         std::vector<ScriptValue> values;
         values.reserve(slice.values.size());
         for (double v : slice.values) values.push_back(ScriptValue::Number(v));
@@ -552,14 +565,15 @@ Result<OperationResult> OperationEngine::ExecuteScript(
       });
   interp.RegisterFunction(
       "tbf_stats",
-      [load_field](std::vector<ScriptValue>& args) -> Result<ScriptValue> {
+      [dataset](std::vector<ScriptValue>& args) -> Result<ScriptValue> {
         if (args.size() != 2 || !args[1].IsString()) {
           return Status::InvalidArgument("tbf_stats(file, component)");
         }
-        EASIA_ASSIGN_OR_RETURN(turb::Field field, load_field(args[0]));
+        EASIA_ASSIGN_OR_RETURN(const turb::Field* field,
+                               dataset->LoadField(args[0]));
         EASIA_ASSIGN_OR_RETURN(turb::Component comp,
                                turb::ComponentFromName(args[1].AsString()));
-        turb::FieldStats s = field.Stats(comp);
+        turb::FieldStats s = field->Stats(comp);
         return ScriptValue::ArrayOf({ScriptValue::Number(s.min),
                                      ScriptValue::Number(s.max),
                                      ScriptValue::Number(s.mean),

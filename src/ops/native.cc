@@ -1,5 +1,6 @@
 #include "ops/native.h"
 
+#include <charconv>
 #include <cmath>
 
 #include "common/string_util.h"
@@ -88,11 +89,6 @@ Result<SliceRequest> ParseSliceParams(const fs::HttpParams& params) {
   return req;
 }
 
-uint64_t SliceReduction(uint64_t input_bytes) {
-  size_t n = GridFromFileBytes(input_bytes);
-  return n == 0 ? 0 : static_cast<uint64_t>(n) * n * sizeof(double);
-}
-
 NativeOperation MakeGetImage() {
   NativeOperation op;
   op.run = [](const std::string& bytes,
@@ -129,8 +125,7 @@ NativeOperation MakeFieldStats() {
     (void)params;
     EASIA_ASSIGN_OR_RETURN(Field field, turb::ParseTbf(bytes));
     OperationOutput out;
-    for (Component c :
-         {Component::kU, Component::kV, Component::kW, Component::kP}) {
+    for (Component c : turb::kComponents) {
       FieldStats s = field.Stats(c);
       out.text += StrPrintf("%s: min=%.6f max=%.6f mean=%.6f rms=%.6f\n",
                             std::string(ComponentName(c)).c_str(), s.min,
@@ -151,11 +146,17 @@ NativeOperation MakeSliceCsv() {
     EASIA_ASSIGN_OR_RETURN(SliceRequest req, ParseSliceParams(params));
     EASIA_ASSIGN_OR_RETURN(Slice2D slice,
                            field.Slice(req.axis, req.index, req.component));
+    // to_chars(general, 9) is defined as printf's "%.9g" in the C locale,
+    // without a heap string per value.
     std::string csv;
+    char buf[32];
     for (size_t i = 0; i < slice.n1; ++i) {
       for (size_t j = 0; j < slice.n2; ++j) {
         if (j > 0) csv += ',';
-        csv += StrPrintf("%.9g", slice.At(i, j));
+        char* end = std::to_chars(buf, buf + sizeof(buf), slice.At(i, j),
+                                  std::chars_format::general, 9)
+                        .ptr;
+        csv.append(buf, end);
       }
       csv += '\n';
     }
@@ -184,21 +185,22 @@ NativeOperation MakeSubsample() {
     if (it != params.end()) {
       EASIA_ASSIGN_OR_RETURN(factor, ParseInt64(it->second));
     }
-    if (factor < 1 || static_cast<size_t>(factor) > field.n()) {
+    size_t n = field.n();
+    if (factor < 1 || static_cast<size_t>(factor) > n) {
       return Status::InvalidArgument("bad subsample factor");
     }
-    size_t m = field.n() / static_cast<size_t>(factor);
+    size_t step = static_cast<size_t>(factor);
+    size_t m = n / step;
     if (m == 0) return Status::InvalidArgument("factor too large");
     Field small = Field::Zero(m, field.time(), field.nu());
-    for (size_t i = 0; i < m; ++i) {
-      for (size_t j = 0; j < m; ++j) {
-        for (size_t k = 0; k < m; ++k) {
-          for (Component c : {Component::kU, Component::kV, Component::kW,
-                              Component::kP}) {
-            small.Set(c, i, j, k,
-                      field.At(c, i * static_cast<size_t>(factor),
-                               j * static_cast<size_t>(factor),
-                               k * static_cast<size_t>(factor)));
+    for (Component c : turb::kComponents) {
+      std::span<const double> src = field.Values(c);
+      std::span<double> dst = small.MutableValues(c);
+      size_t idx = 0;
+      for (size_t i = 0; i < m; ++i) {
+        for (size_t j = 0; j < m; ++j) {
+          for (size_t k = 0; k < m; ++k) {
+            dst[idx++] = src[((i * n + j) * n + k) * step];
           }
         }
       }

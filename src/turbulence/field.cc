@@ -106,7 +106,7 @@ Field Field::Generate(size_t n, double t, double nu) {
   return field;
 }
 
-const std::vector<double>& Field::Data(Component c) const {
+std::span<const double> Field::Values(Component c) const {
   switch (c) {
     case Component::kU: return u_;
     case Component::kV: return v_;
@@ -116,16 +116,17 @@ const std::vector<double>& Field::Data(Component c) const {
   return u_;
 }
 
-std::vector<double>& Field::MutableData(Component c) {
-  return const_cast<std::vector<double>&>(Data(c));
+std::span<double> Field::MutableValues(Component c) {
+  std::span<const double> values = Values(c);
+  return {const_cast<double*>(values.data()), values.size()};
 }
 
 double Field::At(Component c, size_t i, size_t j, size_t k) const {
-  return Data(c)[(i * n_ + j) * n_ + k];
+  return Values(c)[(i * n_ + j) * n_ + k];
 }
 
 void Field::Set(Component c, size_t i, size_t j, size_t k, double v) {
-  MutableData(c)[(i * n_ + j) * n_ + k] = v;
+  MutableValues(c)[(i * n_ + j) * n_ + k] = v;
 }
 
 Result<Slice2D> Field::Slice(char axis, size_t index,
@@ -165,7 +166,7 @@ Result<Slice2D> Field::Slice(char axis, size_t index,
 }
 
 FieldStats Field::Stats(Component component) const {
-  const std::vector<double>& data = Data(component);
+  std::span<const double> data = Values(component);
   FieldStats s;
   s.count = data.size();
   if (data.empty()) return s;
@@ -194,29 +195,29 @@ double Field::KineticEnergy() const {
 double Field::MaxVorticity() const {
   double h = kTwoPi / static_cast<double>(n_);
   double max_mag = 0;
-  auto wrap = [this](size_t i, long d) {
-    return (i + n_ + static_cast<size_t>(d + static_cast<long>(n_))) % n_;
-  };
+  // Periodic neighbours of every grid index, so the stencil takes no
+  // modulo per access.
+  std::vector<size_t> next(n_), prev(n_);
+  for (size_t i = 0; i < n_; ++i) {
+    next[i] = (i + 1) % n_;
+    prev[i] = (i + n_ - 1) % n_;
+  }
+  auto at = [this](const std::vector<double>& data, size_t i, size_t j,
+                   size_t k) { return data[(i * n_ + j) * n_ + k]; };
   for (size_t i = 0; i < n_; ++i) {
     for (size_t j = 0; j < n_; ++j) {
       for (size_t k = 0; k < n_; ++k) {
-        double dwdy = (At(Component::kW, i, wrap(j, 1), k) -
-                       At(Component::kW, i, wrap(j, -1), k)) /
+        double dwdy = (at(w_, i, next[j], k) - at(w_, i, prev[j], k)) /
                       (2 * h);
-        double dvdz = (At(Component::kV, i, j, wrap(k, 1)) -
-                       At(Component::kV, i, j, wrap(k, -1))) /
+        double dvdz = (at(v_, i, j, next[k]) - at(v_, i, j, prev[k])) /
                       (2 * h);
-        double dudz = (At(Component::kU, i, j, wrap(k, 1)) -
-                       At(Component::kU, i, j, wrap(k, -1))) /
+        double dudz = (at(u_, i, j, next[k]) - at(u_, i, j, prev[k])) /
                       (2 * h);
-        double dwdx = (At(Component::kW, wrap(i, 1), j, k) -
-                       At(Component::kW, wrap(i, -1), j, k)) /
+        double dwdx = (at(w_, next[i], j, k) - at(w_, prev[i], j, k)) /
                       (2 * h);
-        double dvdx = (At(Component::kV, wrap(i, 1), j, k) -
-                       At(Component::kV, wrap(i, -1), j, k)) /
+        double dvdx = (at(v_, next[i], j, k) - at(v_, prev[i], j, k)) /
                       (2 * h);
-        double dudy = (At(Component::kU, i, wrap(j, 1), k) -
-                       At(Component::kU, i, wrap(j, -1), k)) /
+        double dudy = (at(u_, i, next[j], k) - at(u_, i, prev[j], k)) /
                       (2 * h);
         double ox = dwdy - dvdz;
         double oy = dudz - dwdx;

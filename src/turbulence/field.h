@@ -2,6 +2,7 @@
 #define EASIA_TURBULENCE_FIELD_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -12,6 +13,10 @@ namespace easia::turb {
 /// Velocity component / pressure selector (the paper's GetImage operation
 /// offers "u speed / v speed / w speed / pressure").
 enum class Component { kU, kV, kW, kP };
+
+/// All four, in TBF file order.
+inline constexpr Component kComponents[] = {Component::kU, Component::kV,
+                                            Component::kW, Component::kP};
 
 Result<Component> ComponentFromName(std::string_view name);
 std::string_view ComponentName(Component c);
@@ -75,6 +80,11 @@ class Field {
   double At(Component c, size_t i, size_t j, size_t k) const;
   void Set(Component c, size_t i, size_t j, size_t k, double v);
 
+  /// One component's n³ values, (i, j, k) row-major — the TBF file order,
+  /// so codecs move a component as one block.
+  std::span<const double> Values(Component c) const;
+  std::span<double> MutableValues(Component c);
+
   /// Extracts the 2-D plane with the given normal axis and plane index.
   Result<Slice2D> Slice(char axis, size_t index, Component component) const;
 
@@ -91,8 +101,6 @@ class Field {
 
  private:
   Field(size_t n, double t, double nu);
-  const std::vector<double>& Data(Component c) const;
-  std::vector<double>& MutableData(Component c);
 
   size_t n_;
   double time_;

@@ -1,38 +1,48 @@
 #include "turbulence/tbf.h"
 
+#include <iterator>
+#include <optional>
+
 #include "common/coding.h"
 #include "common/string_util.h"
 
 namespace easia::turb {
 
 namespace {
+
 constexpr std::string_view kMagic = "TBF1";
+constexpr size_t kHeaderBytes = kMagic.size() + 24;
+
+/// Size of a TBF file with an n³ grid, or nullopt when it does not fit in
+/// size_t: a hostile header must not wrap the size check to a small number.
+std::optional<size_t> TbfFileBytes(size_t n) {
+  size_t bytes = 0;
+  if (__builtin_mul_overflow(n, n, &bytes) ||
+      __builtin_mul_overflow(bytes, n, &bytes) ||
+      __builtin_mul_overflow(bytes, std::size(kComponents) * sizeof(double),
+                             &bytes) ||
+      __builtin_add_overflow(bytes, kHeaderBytes, &bytes)) {
+    return std::nullopt;
+  }
+  return bytes;
 }
+
+}  // namespace
 
 std::string SerializeTbf(const Field& field, uint32_t timestep) {
   std::string out;
+  out.reserve(TbfFileBytes(field.n()).value_or(0));
   out += kMagic;
   PutU32(&out, static_cast<uint32_t>(field.n()));
   PutU32(&out, timestep);
   PutDouble(&out, field.time());
   PutDouble(&out, field.nu());
-  size_t n = field.n();
-  out.reserve(out.size() + 4 * n * n * n * sizeof(double));
-  for (Component c :
-       {Component::kU, Component::kV, Component::kW, Component::kP}) {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        for (size_t k = 0; k < n; ++k) {
-          PutDouble(&out, field.At(c, i, j, k));
-        }
-      }
-    }
-  }
+  for (Component c : kComponents) PutDoubles(&out, field.Values(c));
   return out;
 }
 
 Result<TbfHeader> ParseTbfHeader(std::string_view bytes) {
-  if (bytes.size() < kMagic.size() + 24 ||
+  if (bytes.size() < kHeaderBytes ||
       bytes.substr(0, kMagic.size()) != kMagic) {
     return Status::Corruption("not a TBF file");
   }
@@ -48,24 +58,20 @@ Result<TbfHeader> ParseTbfHeader(std::string_view bytes) {
 Result<Field> ParseTbf(std::string_view bytes) {
   EASIA_ASSIGN_OR_RETURN(TbfHeader header, ParseTbfHeader(bytes));
   size_t n = header.n;
-  size_t expected = kMagic.size() + 24 + 4 * n * n * n * sizeof(double);
-  if (bytes.size() != expected) {
+  std::optional<size_t> expected = TbfFileBytes(n);
+  if (!expected.has_value()) {
+    return Status::Corruption(
+        StrPrintf("TBF grid n=%zu overflows the file size", n));
+  }
+  if (bytes.size() != *expected) {
     return Status::Corruption(
         StrPrintf("TBF size mismatch: got %zu, want %zu", bytes.size(),
-                  expected));
+                  *expected));
   }
   Field field = Field::Zero(n, header.time, header.nu);
-  Decoder dec(bytes.substr(kMagic.size() + 24));
-  for (Component c :
-       {Component::kU, Component::kV, Component::kW, Component::kP}) {
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = 0; j < n; ++j) {
-        for (size_t k = 0; k < n; ++k) {
-          EASIA_ASSIGN_OR_RETURN(double v, dec.GetDouble());
-          field.Set(c, i, j, k, v);
-        }
-      }
-    }
+  Decoder dec(bytes.substr(kHeaderBytes));
+  for (Component c : kComponents) {
+    EASIA_RETURN_IF_ERROR(dec.GetDoubles(field.MutableValues(c)));
   }
   return field;
 }

@@ -17,6 +17,8 @@ namespace easia::turb {
 /// requirement that archived codes "accept a filename as a command line
 /// parameter" and use standard file I/O.
 std::string SerializeTbf(const Field& field, uint32_t timestep);
+/// Fails with kCorruption unless `bytes` is exactly the size the header's
+/// n implies; an n whose size overflows size_t is refused the same way.
 Result<Field> ParseTbf(std::string_view bytes);
 
 /// Reads just the header (cheap metadata probe).

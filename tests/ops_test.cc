@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/archive.h"
 #include "core/turbulence_setup.h"
 #include "ops/archive.h"
 #include "ops/engine.h"
 #include "ops/native.h"
+#include "tbf_reference.h"
 #include "turbulence/tbf.h"
 
 namespace easia::ops {
@@ -126,6 +128,66 @@ TEST_F(NativeOpsTest, ReductionModelsMatchRealOutputs) {
   }
 }
 
+// SliceCsv's reference rendering: one printf "%.9g" per value.
+std::string PrintfCsv(const turb::Slice2D& slice) {
+  std::string csv;
+  for (size_t i = 0; i < slice.n1; ++i) {
+    for (size_t j = 0; j < slice.n2; ++j) {
+      if (j > 0) csv += ',';
+      csv += StrPrintf("%.9g", slice.At(i, j));
+    }
+    csv += '\n';
+  }
+  return csv;
+}
+
+TEST_F(NativeOpsTest, SliceCsvMatchesPrintf) {
+  const NativeOperation* op = *registry_.Get("SliceCsv");
+  // The special-values field puts ±0, NaNs, ±inf and denormals on the
+  // x=0 plane of u; the rest of it is random bit patterns.
+  for (const turb::Field& field :
+       {turb::Field::Generate(8, 0.0, 0.01), turb::SpecialValuesField(4)}) {
+    std::string bytes = turb::SerializeTbf(field, 0);
+    for (char axis : {'x', 'y', 'z'}) {
+      for (turb::Component c : turb::kComponents) {
+        for (size_t index : {size_t{0}, field.n() - 1}) {
+          std::string where = std::string(1, axis) + std::to_string(index);
+          std::string type(turb::ComponentName(c));
+          auto out = op->run(bytes, {{"slice", where}, {"type", type}});
+          ASSERT_TRUE(out.ok()) << out.status().ToString();
+          turb::Slice2D slice = *field.Slice(axis, index, c);
+          EXPECT_EQ(out->files[0].second, PrintfCsv(slice))
+              << "n=" << field.n() << " " << where << " " << type;
+        }
+      }
+    }
+  }
+}
+
+TEST_F(NativeOpsTest, SubsampleMatchesReferenceEncoding) {
+  const NativeOperation* op = *registry_.Get("Subsample");
+  turb::Field field = turb::SpecialValuesField(6);
+  std::string bytes = turb::SerializeTbf(field, 4);
+  for (size_t factor : {1, 2, 3, 4}) {
+    size_t m = field.n() / factor;
+    turb::Field small = turb::Field::Zero(m, field.time(), field.nu());
+    for (turb::Component c : turb::kComponents) {
+      for (size_t i = 0; i < m; ++i) {
+        for (size_t j = 0; j < m; ++j) {
+          for (size_t k = 0; k < m; ++k) {
+            small.Set(c, i, j, k,
+                      field.At(c, i * factor, j * factor, k * factor));
+          }
+        }
+      }
+    }
+    auto out = op->run(bytes, {{"factor", std::to_string(factor)}});
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->files[0].second, turb::ReferenceSerializeTbf(small, 0))
+        << "factor " << factor;
+  }
+}
+
 TEST(GridFromFileBytesTest, InvertsFileBytes) {
   for (size_t n : {8u, 16u, 64u, 128u, 256u}) {
     EXPECT_EQ(GridFromFileBytes(turb::Field::FileBytes(n)), n);
@@ -174,6 +236,16 @@ class EngineTest : public ::testing::Test {
     ctx.user = "alice";
     ctx.is_guest = false;
     return ctx;
+  }
+
+  Result<OperationResult> RunUpload(const std::string& code,
+                                    const std::string& dataset_url) {
+    xuis::UploadSpec upload;
+    upload.type = "EASCRIPT";
+    upload.format = "ea";
+    return archive_->engine().RunUploadedCode(upload, code, "main.ea",
+                                              dataset_url, {},
+                                              AuthorisedCtx());
   }
 
   std::unique_ptr<core::Archive> archive_;
@@ -395,6 +467,76 @@ TEST_F(EngineTest, UploadedCodeRunsAndWrites) {
   EXPECT_EQ(result->output.text, "done\n");
   ASSERT_EQ(result->output.files.size(), 1u);
   EXPECT_EQ(result->output.files[0].first, "out.txt");
+}
+
+TEST_F(EngineTest, ScriptHelpersRepeatTheirAnswers) {
+  const std::string& dataset = seeded_[0].dataset_urls[0];
+  const std::string kCalls =
+      "  let s = tbf_stats(f, \"p\");\n"
+      "  let z = tbf_slice(f, \"y\", 3, \"v\");\n"
+      "  print(str(tbf_n(f)) + \" \" + str(s[0]) + \" \" + str(s[3]) +\n"
+      "        \" \" + str(len(z)) + \" \" + str(z[5]));\n";
+  auto once = RunUpload("let f = arg(0);\n" + kCalls, dataset);
+  ASSERT_TRUE(once.ok()) << once.status().ToString();
+  auto thrice = RunUpload(
+      "let f = arg(0);\nfor (let r = 0; r < 3; r = r + 1) {\n" + kCalls +
+          "}\n",
+      dataset);
+  ASSERT_TRUE(thrice.ok()) << thrice.status().ToString();
+  EXPECT_EQ(thrice->output.text,
+            once->output.text + once->output.text + once->output.text);
+  // And the answers are the dataset's own.
+  auto resolved = archive_->fleet().Resolve(dataset);
+  ASSERT_TRUE(resolved.ok());
+  turb::Field field = *turb::ParseTbf(
+      *resolved->first->vfs().ReadFile(resolved->second.path));
+  turb::FieldStats p = field.Stats(turb::Component::kP);
+  turb::Slice2D y3 = *field.Slice('y', 3, turb::Component::kV);
+  auto show = [](double v) {
+    return script::ScriptValue::Number(v).ToDisplay();
+  };
+  EXPECT_EQ(once->output.text, show(8) + " " + show(p.min) + " " +
+                                   show(p.rms) + " " + show(64) + " " +
+                                   show(y3.values[5]) + "\n");
+}
+
+TEST_F(EngineTest, ScriptHelpersReportAParseErrorOnEveryCall) {
+  auto resolved = archive_->fleet().Resolve(seeded_[0].dataset_urls[0]);
+  ASSERT_TRUE(resolved.ok());
+  std::string bytes = *resolved->first->vfs().ReadFile(resolved->second.path);
+  bytes.resize(bytes.size() - 10);
+  ASSERT_TRUE(resolved->first->vfs()
+                  .WriteFile("/archive/corrupt.tbf", bytes)
+                  .ok());
+  const std::string url = "http://" + resolved->second.host +
+                          "/archive/corrupt.tbf";
+  const std::string want = turb::ParseTbf(bytes).status().message();
+  // Each helper, first or after a successful read(), in a fresh run or the
+  // second time in the same one, returns the parse error.
+  for (const char* code :
+       {"tbf_n(arg(0));", "tbf_stats(arg(0), \"u\");",
+        "tbf_slice(arg(0), \"x\", 0, \"u\");",
+        "print(len(read(arg(0))));\ntbf_n(arg(0));"}) {
+    for (int run = 0; run < 2; ++run) {
+      Status s = RunUpload(code, url).status();
+      EXPECT_TRUE(s.IsCorruption()) << code << " -> " << s.ToString();
+      EXPECT_NE(s.message().find(want), std::string::npos)
+          << code << " -> " << s.ToString();
+    }
+  }
+}
+
+TEST_F(EngineTest, ScriptReadReturnsTheExactDatasetBytes) {
+  const std::string& dataset = seeded_[0].dataset_urls[0];
+  auto result = RunUpload(
+      "let n = tbf_n(arg(0));\nwrite(\"copy.tbf\", read(arg(0)));\n",
+      dataset);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto resolved = archive_->fleet().Resolve(dataset);
+  ASSERT_TRUE(resolved.ok());
+  ASSERT_EQ(result->output.files.size(), 1u);
+  EXPECT_EQ(result->output.files[0].second,
+            *resolved->first->vfs().ReadFile(resolved->second.path));
 }
 
 TEST_F(EngineTest, UploadedCodeGuestDenied) {

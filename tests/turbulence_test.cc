@@ -2,7 +2,9 @@
 
 #include <cmath>
 
+#include "common/coding.h"
 #include "fileserver/file_server.h"
+#include "tbf_reference.h"
 #include "turbulence/field.h"
 #include "turbulence/tbf.h"
 
@@ -148,8 +150,61 @@ TEST(TbfTest, RejectsGarbage) {
   EXPECT_FALSE(ParseTbf("not a tbf").ok());
   Field field = Field::Generate(4, 0, 0.01);
   std::string bytes = SerializeTbf(field, 0);
-  bytes.resize(bytes.size() - 10);  // truncated
-  EXPECT_FALSE(ParseTbf(bytes).ok());
+  ASSERT_EQ(bytes.size(), 2076u);
+  Status truncated = ParseTbf(bytes.substr(0, bytes.size() - 10)).status();
+  EXPECT_TRUE(truncated.IsCorruption());
+  EXPECT_EQ(truncated.message(), "TBF size mismatch: got 2066, want 2076");
+  Status oversized = ParseTbf(bytes + std::string(8, '\0')).status();
+  EXPECT_TRUE(oversized.IsCorruption());
+  EXPECT_EQ(oversized.message(), "TBF size mismatch: got 2084, want 2076");
+}
+
+TEST(TbfTest, SerializeMatchesPerValueEncoder) {
+  for (const Field& field :
+       {SpecialValuesField(4), SpecialValuesField(5), Field::Generate(8, 0.5),
+        Field::Zero(0, 0, 0.01)}) {
+    EXPECT_EQ(SerializeTbf(field, 11), ReferenceSerializeTbf(field, 11))
+        << "n=" << field.n();
+  }
+}
+
+TEST(TbfTest, ParseRoundTripsBitForBit) {
+  Field field = SpecialValuesField(5);
+  Result<Field> back = ParseTbf(ReferenceSerializeTbf(field, 2));
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back->n(), 5u);
+  EXPECT_EQ(BitsOf(back->time()), BitsOf(field.time()));
+  EXPECT_EQ(BitsOf(back->nu()), BitsOf(field.nu()));
+  for (Component c : kComponents) {
+    std::span<const double> want = field.Values(c);
+    std::span<const double> got = back->Values(c);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(BitsOf(got[i]), BitsOf(want[i]))
+          << ComponentName(c) << "[" << i << "]";
+    }
+  }
+}
+
+// A 28-byte header-only file whose grid extent makes 4·n³·8 wrap size_t.
+std::string OverflowingHeader(uint32_t n) {
+  std::string bytes = "TBF1";
+  PutU32(&bytes, n);
+  PutU32(&bytes, 0);
+  PutDouble(&bytes, 0.0);
+  PutDouble(&bytes, 0.01);
+  return bytes;
+}
+
+TEST(TbfTest, GridSizeOverflowIsCorruption) {
+  // n = 2^21: 4·n³·8 = 2^68 wraps to 0, so an unchecked size test accepts
+  // the 28-byte file and then allocates 2^63 doubles per component.
+  // n = 2^22: n³ itself wraps to 0. Either must be refused up front.
+  for (uint32_t n : {1u << 21, 1u << 22, 0xFFFFFFFFu}) {
+    Status s = ParseTbf(OverflowingHeader(n)).status();
+    EXPECT_TRUE(s.IsCorruption()) << n << ": " << s.ToString();
+    ASSERT_TRUE(ParseTbfHeader(OverflowingHeader(n)).ok());
+  }
 }
 
 TEST(DatasetSpecTest, SizesMatchPaperScale) {
