@@ -1,6 +1,7 @@
 #include "ops/engine.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/string_util.h"
 #include "fileserver/url.h"
@@ -38,6 +39,18 @@ struct ScriptDataset {
     return &field->value();
   }
 };
+
+/// A script number used as an index or extent. A negative, NaN or
+/// too-large value is refused here, because its cast to size_t would be
+/// undefined.
+Result<size_t> ScriptSize(const script::ScriptValue& value,
+                          const char* what) {
+  double d = value.AsNumber();
+  if (!(d >= 0 && d < static_cast<double>(SIZE_MAX))) {
+    return Status::OutOfRange(StrPrintf("%s %g out of range", what, d));
+  }
+  return static_cast<size_t>(d);
+}
 
 std::string EscapeSqlString(const std::string& v) {
   return ReplaceAll(v, "'", "''");
@@ -554,10 +567,11 @@ Result<OperationResult> OperationEngine::ExecuteScript(
         if (args[1].AsString().empty()) {
           return Status::InvalidArgument("empty slice axis");
         }
+        EASIA_ASSIGN_OR_RETURN(size_t index,
+                               ScriptSize(args[2], "slice index"));
         EASIA_ASSIGN_OR_RETURN(
             turb::Slice2D slice,
-            field->Slice(args[1].AsString()[0],
-                         static_cast<size_t>(args[2].AsNumber()), comp));
+            field->Slice(args[1].AsString()[0], index, comp));
         std::vector<ScriptValue> values;
         values.reserve(slice.values.size());
         for (double v : slice.values) values.push_back(ScriptValue::Number(v));
@@ -585,10 +599,12 @@ Result<OperationResult> OperationEngine::ExecuteScript(
             !args[2].IsNumber()) {
           return Status::InvalidArgument("pgm(values, rows, cols)");
         }
-        size_t rows = static_cast<size_t>(args[1].AsNumber());
-        size_t cols = static_cast<size_t>(args[2].AsNumber());
+        EASIA_ASSIGN_OR_RETURN(size_t rows, ScriptSize(args[1], "pgm rows"));
+        EASIA_ASSIGN_OR_RETURN(size_t cols, ScriptSize(args[2], "pgm cols"));
         const auto& arr = args[0].AsArray();
-        if (rows * cols != arr.size()) {
+        size_t cells = 0;
+        if (__builtin_mul_overflow(rows, cols, &cells) ||
+            cells != arr.size()) {
           return Status::InvalidArgument("pgm: dimensions mismatch");
         }
         turb::Slice2D slice;

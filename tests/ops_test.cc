@@ -539,6 +539,28 @@ TEST_F(EngineTest, ScriptReadReturnsTheExactDatasetBytes) {
             *resolved->first->vfs().ReadFile(resolved->second.path));
 }
 
+TEST_F(EngineTest, ScriptSizesOutsideSizeTAreRefused) {
+  const std::string& dataset = seeded_[0].dataset_urls[0];
+  // Each of these numbers has no size_t value; casting it is undefined.
+  for (const char* code :
+       {"tbf_slice(arg(0), \"x\", -1, \"u\");",
+        "tbf_slice(arg(0), \"x\", 1e300, \"u\");",
+        "pgm([], -1, 0);", "pgm([], 0, -2);"}) {
+    Status s = RunUpload(code, dataset).status();
+    EXPECT_EQ(s.code(), StatusCode::kOutOfRange) << code << " -> "
+                                                 << s.ToString();
+  }
+  // 2^32 x 2^32 cells wrap to 0 in size_t, which must not match [].
+  Status wrap =
+      RunUpload("pgm([], 4294967296, 4294967296);", dataset).status();
+  EXPECT_EQ(wrap.code(), StatusCode::kInvalidArgument) << wrap.ToString();
+  // In-range fractional indexes still truncate, as before.
+  auto ok = RunUpload("print(len(tbf_slice(arg(0), \"x\", 2.5, \"u\")));",
+                      dataset);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->output.text, "64\n");
+}
+
 TEST_F(EngineTest, UploadedCodeGuestDenied) {
   xuis::UploadSpec upload;
   upload.guest_access = false;
