@@ -1,14 +1,18 @@
 // F13 — catalog-scale storage engine: binary bulk ingest (COPY) versus a
-// per-statement INSERT loop, columnar scan/aggregate kernels versus the
-// row path, radix prefix-index lookup latency, and primary-key UPDATE /
-// DELETE cost next to a point SELECT on the same key, on a synthetic
-// object catalogue of 1M rows by default (--large: 10M, --smoke: 20k-row
-// gate). Emits a JSON block (schema versioned, tagged with the build
-// revision, type and core count) so future PRs can track the trajectory;
-// `--smoke` runs as a ctest and exits non-zero when the row and columnar
-// engines disagree on results, when a pk UPDATE or DELETE costs more than
-// 10 point SELECTs, or when the row twin's selective scan costs more than
-// 8 columnar ones.
+// per-statement INSERT loop, the planner's columnar scan/aggregate
+// kernels versus the legacy row-at-a-time executor, radix prefix-index
+// lookup latency, primary-key UPDATE / DELETE cost next to a point SELECT
+// on the same key, a scan after a rolled-back DELETE, and the page
+// store's footprint under UPDATE churn, on a synthetic object catalogue
+// of 1M rows by default (--large: 10M, --smoke: 20k-row gate). Emits a
+// JSON block (schema versioned, tagged with the build revision, type and
+// core count) so future PRs can track the trajectory; `--smoke` runs as a
+// ctest and exits non-zero when the planned and legacy executors disagree
+// on results, when a pk UPDATE or DELETE costs more than 10 point
+// SELECTs, when a scan after `BEGIN; DELETE; ROLLBACK` costs more than
+// 1.5 of the same scan on an untouched twin, or when 100k single-row
+// UPDATEs grow the columnar bytes past twice their compacted size plus
+// 64 KiB.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -18,6 +22,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -53,13 +58,20 @@ constexpr double kMaxDmlToPointSelect = 10.0;
 constexpr size_t kDmlOps = 200;
 constexpr int kDmlTrials = 5;
 
-/// The --smoke gate on the selective scan: the row twin may cost at most
-/// this many columnar scans. Both layouts run the filter kernel, so only
-/// the per-cell test differs; a row scan that copies every row before
-/// filtering reads ~15x at 20k rows. Reported as the minimum of
-/// kScanTrials interleaved runs per layout.
-constexpr double kMaxRowToColumnarScan = 8.0;
+/// The --smoke gate on the selective scan after a rolled-back DELETE: it
+/// may cost at most this many scans of an untouched twin. The undo
+/// re-inserts rows below the newest RowId; without the compaction that
+/// follows, every later scan sorts the live slots first (~10x at 20k
+/// rows). Reported as the minimum of kScanTrials interleaved runs each.
+constexpr double kMaxRolledBackToFreshScan = 1.5;
 constexpr int kScanTrials = 5;
+
+/// The --smoke churn gate: kChurnUpdates single-row UPDATEs may grow the
+/// churn table's columnar bytes to at most twice their size right after
+/// a compaction, plus kChurnSlackBytes. Without compaction each UPDATE
+/// re-appended the row's 300-byte CLOB (~30 MB here).
+constexpr size_t kChurnUpdates = 100000;
+constexpr size_t kChurnSlackBytes = 64 * 1024;
 
 struct Config {
   size_t rows = 1000000;
@@ -68,7 +80,6 @@ struct Config {
   size_t insert_rows = 100000;
   size_t prefix_lookups = 2000;
   int query_iters = 3;
-  bool build_row_twin = true;
 };
 
 /// OBJ(ID, NAME, MAG): NAME carries a shared "S" prefix plus the zero-padded
@@ -90,19 +101,16 @@ std::vector<Row> MakeRows(size_t n) {
 /// fdatasync per statement, COPY pays one batch record and one sync per
 /// 4096-row chunk — the amortisation that makes bulk ingest the only
 /// viable way to load a catalogue-scale archive.
-std::unique_ptr<Database> MakeDatabase(const char* name, bool columnar,
-                                       bool wal = true) {
+std::unique_ptr<Database> MakeDatabase(const char* name, bool wal = true) {
   DatabaseOptions opts;
   if (wal) {
     opts.wal_path = std::string("/tmp/easia_bench_f13_") + name + ".wal";
     std::remove(opts.wal_path.c_str());
   }
   auto db = std::make_unique<Database>(name, opts);
-  std::string ddl =
+  (void)db->Execute(
       "CREATE TABLE OBJ (ID INTEGER NOT NULL, NAME VARCHAR(32),"
-      " MAG DOUBLE, PRIMARY KEY (ID))";
-  if (columnar) ddl += " STORE COLUMNAR";
-  (void)db->Execute(ddl);
+      " MAG DOUBLE, PRIMARY KEY (ID))");
   return db;
 }
 
@@ -147,18 +155,28 @@ double TimeInsertLoop(Database& db, const std::vector<Row>& rows, size_t n) {
   return SecondsSince(t0);
 }
 
-/// Best-of-`iters` wall time for `sql` through the planner; -1 on error.
-double TimeSelectMs(Database& db, const std::string& sql, int iters) {
-  Result<Statement> stmt = ParseSql(sql);
-  if (!stmt.ok() || stmt->kind != Statement::Kind::kSelect) return -1;
+/// Runs `sql` through the planner (`planned`) or the legacy executor.
+Result<QueryResult> RunSelect(Database& db, const std::string& sql,
+                              bool planned) {
+  EASIA_ASSIGN_OR_RETURN(Statement stmt, ParseSql(sql));
+  if (stmt.kind != Statement::Kind::kSelect) {
+    return Status::InvalidArgument("not a SELECT: " + sql);
+  }
   TableLookup lookup = [&db](const std::string& name) {
     return db.GetTable(name);
   };
+  ExecuteOptions options;
+  options.use_planner = planned;
+  return ExecuteSelect(*stmt.select, lookup, nullptr, options);
+}
+
+/// Best-of-`iters` wall time for `sql`; -1 on error.
+double TimeSelectMs(Database& db, const std::string& sql, int iters,
+                    bool planned = true) {
   double best = -1;
   for (int i = 0; i < iters; ++i) {
     auto t0 = std::chrono::steady_clock::now();
-    Result<QueryResult> r =
-        ExecuteSelect(*stmt->select, lookup, nullptr, {true});
+    Result<QueryResult> r = RunSelect(db, sql, planned);
     if (!r.ok()) return -1;
     benchmark::DoNotOptimize(r->rows.size());
     double ms = SecondsSince(t0) * 1000.0;
@@ -167,21 +185,20 @@ double TimeSelectMs(Database& db, const std::string& sql, int iters) {
   return best;
 }
 
-/// Min-of-kScanTrials wall time for `sql` on `col_db` and `row_db` (null:
-/// -1), the trials interleaved so a slow phase of the host hits both
-/// alike. -1 on error.
-std::pair<double, double> TimeScanPairMs(Database& col_db, Database* row_db,
-                                         const std::string& sql) {
-  double col_ms = -1;
-  double row_ms = -1;
+/// Min-of-kScanTrials wall times of two timed calls, the trials
+/// interleaved so a slow phase of the host hits both alike. -1 on error.
+template <typename A, typename B>
+std::pair<double, double> TimeInterleavedMs(const A& a, const B& b) {
+  double a_ms = -1;
+  double b_ms = -1;
   auto best = [](double* slot, double ms) {
     if (ms < 0 || *slot < 0 || ms < *slot) *slot = ms;
   };
   for (int t = 0; t < kScanTrials; ++t) {
-    best(&col_ms, TimeSelectMs(col_db, sql, 1));
-    if (row_db != nullptr) best(&row_ms, TimeSelectMs(*row_db, sql, 1));
+    best(&a_ms, a());
+    best(&b_ms, b());
   }
-  return {col_ms, row_ms};
+  return {a_ms, b_ms};
 }
 
 struct PrefixLatency {
@@ -264,18 +281,21 @@ DmlCost TimeDml(Database& db, size_t rows) {
   return out;
 }
 
-/// The parity gate behind --smoke: both engines must agree on a scan, an
-/// aggregate and a prefix LIKE. Returns the number of disagreements.
-int CheckParity(Database& row_db, Database& col_db) {
+/// The parity gate behind --smoke: the planner (filter and aggregate
+/// kernels, radix prefix scan) and the legacy executor must agree on a
+/// scan, an aggregate and a prefix LIKE. Returns the number of
+/// disagreements.
+int CheckParity(Database& db) {
   int violations = 0;
   const char* queries[] = {
       "SELECT COUNT(*), SUM(MAG), MIN(NAME), MAX(NAME) FROM OBJ",
       "SELECT COUNT(*) FROM OBJ WHERE MAG > 500.0",
       "SELECT COUNT(*) FROM OBJ WHERE NAME LIKE 'S0000001%'",
+      "SELECT * FROM OBJ WHERE MAG > 990.0",
   };
   for (const char* sql : queries) {
-    Result<QueryResult> a = row_db.Execute(sql);
-    Result<QueryResult> b = col_db.Execute(sql);
+    Result<QueryResult> a = RunSelect(db, sql, /*planned=*/true);
+    Result<QueryResult> b = RunSelect(db, sql, /*planned=*/false);
     if (!a.ok() || !b.ok()) {
       ++violations;
       std::fprintf(stderr, "parity: %s failed to run\n", sql);
@@ -290,48 +310,73 @@ int CheckParity(Database& row_db, Database& col_db) {
     }
     if (!same) {
       ++violations;
-      std::fprintf(stderr, "parity: %s disagrees between engines\n", sql);
+      std::fprintf(stderr, "parity: %s disagrees between executors\n", sql);
     }
   }
   return violations;
 }
 
+struct ChurnBytes {
+  size_t after_compaction = 0;
+  size_t peak = 0;
+};
+
+/// The churn leg: a one-row table with a name and a 300-byte CLOB is
+/// compacted (a rolled-back DELETE), then takes kChurnUpdates single-row
+/// UPDATEs that bump a counter and rename the row; columnar bytes are
+/// sampled every 1,000 statements. Zeroes on error.
+ChurnBytes TimeChurn(Database& db) {
+  ChurnBytes out;
+  const char* setup[] = {
+      "CREATE TABLE CHURN (ID INTEGER NOT NULL, N INTEGER,"
+      " NAME VARCHAR(32), NOTE CLOB, PRIMARY KEY (ID))",
+      nullptr, "BEGIN", "DELETE FROM CHURN WHERE ID = 1", "ROLLBACK"};
+  const std::string insert = "INSERT INTO CHURN VALUES (1, 0, 'n0', '" +
+                             std::string(300, 'x') + "')";
+  for (const char* sql : setup) {
+    if (!db.Execute(sql == nullptr ? insert : std::string(sql)).ok()) {
+      return {};
+    }
+  }
+  Result<const Table*> table = db.GetTable("CHURN");
+  if (!table.ok()) return {};
+  out.after_compaction = (*table)->GetStorageStats().columnar_bytes;
+  out.peak = out.after_compaction;
+  for (size_t i = 1; i <= kChurnUpdates; ++i) {
+    std::string sql = StrPrintf(
+        "UPDATE CHURN SET N = N + 1, NAME = 'n%zu' WHERE ID = 1", i % 1000);
+    if (!db.Execute(sql).ok()) return {};
+    if (i % 1000 == 0) {
+      out.peak =
+          std::max(out.peak, (*table)->GetStorageStats().columnar_bytes);
+    }
+  }
+  return out;
+}
+
 int RunReproduction(const Config& cfg) {
   std::vector<Row> rows = MakeRows(cfg.rows);
 
-  // DML leg first, on WAL-less twins of each layout that are dropped
-  // before the other legs build their databases (no row-store twin when
-  // the row twin is skipped for memory).
-  std::vector<bool> layouts = {true};
-  if (cfg.build_row_twin) layouts.insert(layouts.begin(), false);
-  DmlCost dml[2];
-  for (bool columnar : layouts) {
-    auto db = MakeDatabase(columnar ? "F13DC" : "F13DR", columnar,
-                           /*wal=*/false);
+  // DML leg first, on a WAL-less database dropped before the other legs
+  // build theirs.
+  DmlCost dml;
+  {
+    auto db = MakeDatabase("F13D", /*wal=*/false);
     if (TimeBulkIngest(*db, rows) < 0) return 1;
-    dml[columnar] = TimeDml(*db, cfg.rows);
+    dml = TimeDml(*db, cfg.rows);
   }
 
-  auto col_db = MakeDatabase("F13C", /*columnar=*/true);
+  auto col_db = MakeDatabase("F13C");
   double bulk_secs = TimeBulkIngest(*col_db, rows);
 
-  // The INSERT baseline targets its own columnar table — the same
-  // destination storage and index maintenance COPY pays, so the ratio
-  // isolates the ingest path (statement parse + one WAL record per row
-  // versus binary decode + one WAL record per chunk).
+  // The INSERT baseline targets its own table — the same destination
+  // storage and index maintenance COPY pays, so the ratio isolates the
+  // ingest path (statement parse + one WAL record per row versus binary
+  // decode + one WAL record per chunk).
   double insert_secs = -1;
   {
-    auto insert_db = MakeDatabase("F13I", /*columnar=*/true);
+    auto insert_db = MakeDatabase("F13I");
     insert_secs = TimeInsertLoop(*insert_db, rows, cfg.insert_rows);
-  }
-
-  std::unique_ptr<Database> row_db;
-  double row_agg_ms = -1, row_group_ms = -1;
-  if (cfg.build_row_twin) {
-    // The row twin exists for the scan/aggregate comparison and the
-    // parity gate; build it through its own COPY path at full volume.
-    row_db = MakeDatabase("F13R", /*columnar=*/false);
-    if (TimeBulkIngest(*row_db, rows) < 0) return 1;
   }
 
   const std::string scan_sql = "SELECT * FROM OBJ WHERE MAG > 990.0";
@@ -340,23 +385,45 @@ int RunReproduction(const Config& cfg) {
   const std::string group_sql =
       "SELECT ID, COUNT(*) FROM OBJ WHERE MAG > 500.0 GROUP BY ID";
 
-  auto [col_scan_ms, row_scan_ms] =
-      TimeScanPairMs(*col_db, row_db.get(), scan_sql);
-  double col_agg_ms = TimeSelectMs(*col_db, agg_sql, cfg.query_iters);
-  double col_group_ms = TimeSelectMs(*col_db, group_sql, cfg.query_iters);
-  if (row_db != nullptr) {
-    row_agg_ms = TimeSelectMs(*row_db, agg_sql, cfg.query_iters);
-    row_group_ms = TimeSelectMs(*row_db, group_sql, cfg.query_iters);
-  }
+  auto [scan_ms, legacy_scan_ms] = TimeInterleavedMs(
+      [&] { return TimeSelectMs(*col_db, scan_sql, 1); },
+      [&] { return TimeSelectMs(*col_db, scan_sql, 1, /*planned=*/false); });
+  double agg_ms = TimeSelectMs(*col_db, agg_sql, cfg.query_iters);
+  double group_ms = TimeSelectMs(*col_db, group_sql, cfg.query_iters);
+  double legacy_agg_ms =
+      TimeSelectMs(*col_db, agg_sql, cfg.query_iters, /*planned=*/false);
+  double legacy_group_ms =
+      TimeSelectMs(*col_db, group_sql, cfg.query_iters, /*planned=*/false);
 
   PrefixLatency prefix =
       TimePrefixLookups(*col_db, cfg.prefix_lookups, cfg.rows);
 
+  // The same scan on a twin whose DELETE of the matching rows was rolled
+  // back, interleaved with scans of the untouched table.
+  double fresh_ms = -1;
+  double rolled_back_ms = -1;
+  ChurnBytes churn;
+  {
+    auto rb_db = MakeDatabase("F13RB", /*wal=*/false);
+    bool ready = TimeBulkIngest(*rb_db, rows) >= 0 &&
+                 rb_db->Execute("BEGIN").ok() &&
+                 rb_db->Execute("DELETE FROM OBJ WHERE MAG > 990.0").ok() &&
+                 rb_db->Execute("ROLLBACK").ok();
+    if (!ready) return 1;
+    std::tie(fresh_ms, rolled_back_ms) = TimeInterleavedMs(
+        [&] { return TimeSelectMs(*col_db, scan_sql, 1); },
+        [&] { return TimeSelectMs(*rb_db, scan_sql, 1); });
+    churn = TimeChurn(*rb_db);
+  }
+
   double bulk_rate = bulk_secs > 0 ? cfg.rows / bulk_secs : -1;
   double insert_rate = insert_secs > 0 ? cfg.insert_rows / insert_secs : -1;
+  auto ratio = [](double num, double den) {
+    return num > 0 && den > 0 ? num / den : 0.0;
+  };
 
   std::printf("\n=== F13: catalog-scale storage engine ===\n");
-  std::printf("{\"bench\":\"f13_catalog_scale\",\"schema\":3,"
+  std::printf("{\"bench\":\"f13_catalog_scale\",\"schema\":4,"
               "\"rev\":\"%s\",\"build_type\":\"%s\",\"nproc\":%u,"
               "\"rows\":%zu,\n",
               EASIA_BENCH_REV, EASIA_BUILD_TYPE,
@@ -366,67 +433,71 @@ int RunReproduction(const Config& cfg) {
               "\"chunk_rows\":%zu,\"synced_wal\":true,"
               "\"bulk_speedup\":%.1f},\n",
               bulk_rate, insert_rate, cfg.insert_rows, kChunkRows,
-              (bulk_rate > 0 && insert_rate > 0) ? bulk_rate / insert_rate
-                                                 : 0.0);
-  std::printf(" \"scan_ms\":{\"trials\":%d,\"columnar\":%.2f,\"row\":%.2f,"
-              "\"row_to_columnar\":%.2f},\n",
-              kScanTrials, col_scan_ms, row_scan_ms,
-              (col_scan_ms > 0 && row_scan_ms > 0) ? row_scan_ms / col_scan_ms
-                                                   : 0.0);
-  std::printf(" \"aggregate_ms\":{\"columnar\":%.2f,\"row\":%.2f,"
+              ratio(bulk_rate, insert_rate));
+  std::printf(" \"scan_ms\":{\"trials\":%d,\"planned\":%.2f,"
+              "\"legacy\":%.2f,\"legacy_to_planned\":%.2f},\n",
+              kScanTrials, scan_ms, legacy_scan_ms,
+              ratio(legacy_scan_ms, scan_ms));
+  std::printf(" \"aggregate_ms\":{\"planned\":%.2f,\"legacy\":%.2f,"
               "\"speedup\":%.1f},\n",
-              col_agg_ms, row_agg_ms,
-              (col_agg_ms > 0 && row_agg_ms > 0) ? row_agg_ms / col_agg_ms
-                                                 : 0.0);
-  std::printf(" \"group_by_ms\":{\"columnar\":%.2f,\"row\":%.2f},\n",
-              col_group_ms, row_group_ms);
+              agg_ms, legacy_agg_ms, ratio(legacy_agg_ms, agg_ms));
+  std::printf(" \"group_by_ms\":{\"planned\":%.2f,\"legacy\":%.2f},\n",
+              group_ms, legacy_group_ms);
   std::printf(" \"prefix_lookup\":{\"lookups\":%zu,\"hits\":%zu,"
               "\"p50_us\":%.2f,\"p99_us\":%.2f},\n",
               cfg.prefix_lookups, prefix.total_hits, prefix.p50_us,
               prefix.p99_us);
-  std::printf(" \"pk_dml\":{\"ops\":%zu,\"trials\":%d,\"wal\":false",
-              kDmlOps, kDmlTrials);
-  for (bool columnar : layouts) {
-    const DmlCost& c = dml[columnar];
-    std::printf(",\n  \"%s\":{\"point_select_us\":%.2f,\"update_us\":%.2f,"
-                "\"delete_us\":%.2f,\"update_ratio\":%.2f,"
-                "\"delete_ratio\":%.2f}",
-                columnar ? "columnar" : "row", c.select_us, c.update_us,
-                c.delete_us, c.UpdateRatio(), c.DeleteRatio());
-  }
-  std::printf("}}\n");
+  std::printf(" \"pk_dml\":{\"ops\":%zu,\"trials\":%d,\"wal\":false,"
+              "\"point_select_us\":%.2f,\"update_us\":%.2f,"
+              "\"delete_us\":%.2f,\"update_ratio\":%.2f,"
+              "\"delete_ratio\":%.2f},\n",
+              kDmlOps, kDmlTrials, dml.select_us, dml.update_us,
+              dml.delete_us, dml.UpdateRatio(), dml.DeleteRatio());
+  std::printf(" \"rollback_scan_ms\":{\"trials\":%d,\"fresh\":%.2f,"
+              "\"rolled_back\":%.2f,\"ratio\":%.2f},\n",
+              kScanTrials, fresh_ms, rolled_back_ms,
+              ratio(rolled_back_ms, fresh_ms));
+  std::printf(" \"churn\":{\"updates\":%zu,\"bytes_after_compaction\":%zu,"
+              "\"peak_bytes\":%zu,\"ratio\":%.2f}}\n",
+              kChurnUpdates, churn.after_compaction, churn.peak,
+              ratio(static_cast<double>(churn.peak),
+                    static_cast<double>(churn.after_compaction)));
 
   int violations = 0;
-  for (bool columnar : layouts) {
-    const DmlCost& c = dml[columnar];
-    bool measured = c.select_us > 0 && c.update_us > 0 && c.delete_us > 0;
-    if (!measured || c.UpdateRatio() > kMaxDmlToPointSelect ||
-        c.DeleteRatio() > kMaxDmlToPointSelect) {
-      ++violations;
-      std::fprintf(stderr,
-                   "pk DML gate (%s): update %.1fx, delete %.1fx a point "
-                   "select (limit %.0fx)\n",
-                   columnar ? "columnar" : "row", c.UpdateRatio(),
-                   c.DeleteRatio(), kMaxDmlToPointSelect);
-    }
+  bool measured = dml.select_us > 0 && dml.update_us > 0 && dml.delete_us > 0;
+  if (!measured || dml.UpdateRatio() > kMaxDmlToPointSelect ||
+      dml.DeleteRatio() > kMaxDmlToPointSelect) {
+    ++violations;
+    std::fprintf(stderr,
+                 "pk DML gate: update %.1fx, delete %.1fx a point select "
+                 "(limit %.0fx)\n",
+                 dml.UpdateRatio(), dml.DeleteRatio(), kMaxDmlToPointSelect);
   }
-  if (row_db != nullptr) {
-    if (col_scan_ms <= 0 || row_scan_ms <= 0 ||
-        row_scan_ms > kMaxRowToColumnarScan * col_scan_ms) {
-      ++violations;
-      std::fprintf(stderr,
-                   "scan gate: row %.3f ms, columnar %.3f ms (limit %.0fx)\n",
-                   row_scan_ms, col_scan_ms, kMaxRowToColumnarScan);
-    }
-    violations += CheckParity(*row_db, *col_db);
+  if (fresh_ms <= 0 || rolled_back_ms <= 0 ||
+      rolled_back_ms > kMaxRolledBackToFreshScan * fresh_ms) {
+    ++violations;
+    std::fprintf(stderr,
+                 "rollback scan gate: %.3f ms after ROLLBACK, %.3f ms "
+                 "untouched (limit %.1fx)\n",
+                 rolled_back_ms, fresh_ms, kMaxRolledBackToFreshScan);
   }
+  if (churn.after_compaction == 0 ||
+      churn.peak > 2 * churn.after_compaction + kChurnSlackBytes) {
+    ++violations;
+    std::fprintf(stderr,
+                 "churn gate: %zu bytes after %zu updates, %zu after "
+                 "compaction (limit 2x + %zu)\n",
+                 churn.peak, kChurnUpdates, churn.after_compaction,
+                 kChurnSlackBytes);
+  }
+  violations += CheckParity(*col_db);
   return violations;
 }
 
 // ---- Microbenchmarks (skipped under --smoke) ----
 
 void BM_ColumnarAggregate(benchmark::State& state) {
-  auto db = MakeDatabase("F13B", /*columnar=*/true);
+  auto db = MakeDatabase("F13B");
   std::vector<Row> rows = MakeRows(static_cast<size_t>(state.range(0)));
   if (TimeBulkIngest(*db, rows) < 0) {
     state.SkipWithError("ingest failed");
@@ -448,7 +519,7 @@ BENCHMARK(BM_ColumnarAggregate)
     ->Unit(benchmark::kMillisecond);
 
 void BM_RadixPrefixLookup(benchmark::State& state) {
-  auto db = MakeDatabase("F13P", /*columnar=*/true);
+  auto db = MakeDatabase("F13P");
   std::vector<Row> rows = MakeRows(static_cast<size_t>(state.range(0)));
   if (TimeBulkIngest(*db, rows) < 0) {
     state.SkipWithError("ingest failed");
@@ -491,10 +562,7 @@ int main(int argc, char** argv) {
     cfg.prefix_lookups = 200;
     cfg.query_iters = 2;
   } else if (large) {
-    // 10M rows: columnar engine only (a 10M-row row-store twin plus the
-    // source vector does not fit the bench machine's memory budget).
     cfg.rows = 10000000;
-    cfg.build_row_twin = false;
     cfg.prefix_lookups = 5000;
   }
   int violations = RunReproduction(cfg);

@@ -136,10 +136,9 @@ void Archive::RegisterCollectors() {
         for (const std::string& name : database_->catalog().TableNames()) {
           Result<const db::Table*> t = database_->GetTable(name);
           if (!t.ok()) continue;
-          db::Table::StorageStats ss = (*t)->GetStorageStats();
-          if (!ss.columnar) continue;
-          out.push_back(
-              {{{"table", name}}, static_cast<double>(ss.columnar_bytes)});
+          out.push_back({{{"table", name}},
+                         static_cast<double>(
+                             (*t)->GetStorageStats().columnar_bytes)});
         }
         return out;
       });
@@ -151,7 +150,6 @@ void Archive::RegisterCollectors() {
           Result<const db::Table*> t = database_->GetTable(name);
           if (!t.ok()) continue;
           db::Table::StorageStats ss = (*t)->GetStorageStats();
-          if (!ss.columnar) continue;
           out.push_back({{{"table", name}, {"unit", "bytes"}},
                          static_cast<double>(ss.radix_bytes)});
           out.push_back({{{"table", name}, {"unit", "nodes"}},

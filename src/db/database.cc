@@ -482,6 +482,10 @@ void Database::RollbackInternal() {
       }
     }
   }
+  // An undone DELETE re-inserted its row below the newest RowId. Still
+  // under the exclusive lock, compact such tables back into RowId order so
+  // scans run linearly again before the statement (or ROLLBACK) returns.
+  for (auto& entry : tables_) entry.second->RestoreScanOrder();
   if (wal_ != nullptr && !txn_->wal_records.empty()) {
     // Record the abort so replay ignores any (never-written) partials; we
     // never wrote the ops, so this is advisory only.
@@ -999,9 +1003,6 @@ Status Database::ApplyIndexRecommendations(uint64_t min_hits) {
 Status Database::ApplyIndexRecommendationsLocked(uint64_t min_hits) {
   for (const stats::IndexRecommendation& rec :
        advisor_.Recommendations(min_hits)) {
-    if (rec.kind != stats::IndexRecommendation::Kind::kEquality) {
-      continue;  // radix prefix indexes are declared at CREATE TABLE time
-    }
     auto it = tables_.find(ToUpper(rec.table));
     if (it == tables_.end()) continue;  // table dropped since observed
     EASIA_RETURN_IF_ERROR(it->second->CreateSecondaryIndex({rec.column}));
@@ -1164,7 +1165,7 @@ Status Database::LoadSnapshotFromStringLocked(const std::string& contents) {
       if (catalog_.AddTable(pending[i].def).ok()) {
         auto table = std::make_unique<Table>(pending[i].def);
         for (auto& [id, row] : pending[i].rows) {
-          EASIA_RETURN_IF_ERROR(table->InsertWithId(id, std::move(row)));
+          EASIA_RETURN_IF_ERROR(table->InsertWithId(id, row));
         }
         if (!pending[i].stats_block.empty()) {
           // The persisted sketches override the ones the inserts above

@@ -588,22 +588,29 @@ Status BuildRowsPlanned(const SelectPlan& plan,
 
   // Hash tables for hash joins: right-side base row indexes keyed by their
   // join keys. Rows with a NULL key can never match and are left out.
+  // build_keys[d] keeps each base row's key values (stride: key count):
+  // distinct integers past 2^53 share a key string, so every bucket hit is
+  // re-checked with Value::Equals, as the legacy executor compares.
   std::vector<std::multimap<std::string, size_t>> hashes(n);
+  std::vector<std::vector<Value>> build_keys(n);
   for (size_t j = 0; j + 1 < n; ++j) {
     const JoinPlan& join = plan.joins[j];
     if (join.strategy != JoinPlan::Strategy::kHashJoin) continue;
     TimeGuard tg(profile != nullptr ? &profile->joins[j].seconds : nullptr);
+    const size_t k = join.right_keys.size();
+    build_keys[j + 1].resize(base[j + 1].size() * k);
     for (size_t r = 0; r < base[j + 1].size(); ++r) {
       EvalEnv env{&scan_schemas[j + 1], &base[j + 1][r]};
       std::string key;
       bool null_key = false;
-      for (const Expr* e : join.right_keys) {
-        EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));
+      for (size_t i = 0; i < k; ++i) {
+        EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*join.right_keys[i], env));
         if (v.is_null()) {
           null_key = true;
           break;
         }
         PutLengthPrefixed(&key, v.ToKeyString());
+        build_keys[j + 1][r * k + i] = std::move(v);
       }
       if (!null_key) hashes[j + 1].emplace(std::move(key), r);
     }
@@ -688,14 +695,23 @@ Status BuildRowsPlanned(const SelectPlan& plan,
     };
     if (join.strategy == JoinPlan::Strategy::kHashJoin) {
       EvalEnv env{&cum_schemas[depth], &so_far};
+      const size_t k = join.left_keys.size();
+      std::vector<Value> left(k);
       std::string key;
-      for (const Expr* e : join.left_keys) {
-        EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));
-        if (v.is_null()) return false;  // NULL never equi-joins
-        PutLengthPrefixed(&key, v.ToKeyString());
+      for (size_t i = 0; i < k; ++i) {
+        EASIA_ASSIGN_OR_RETURN(left[i], EvalExpr(*join.left_keys[i], env));
+        if (left[i].is_null()) return false;  // NULL never equi-joins
+        PutLengthPrefixed(&key, left[i].ToKeyString());
       }
       auto range = hashes[depth].equal_range(key);
       for (auto it = range.first; it != range.second; ++it) {
+        const Value* right = &build_keys[depth][it->second * k];
+        if (!std::equal(left.begin(), left.end(), right,
+                        [](const Value& a, const Value& b) {
+                          return a.Equals(b);
+                        })) {
+          continue;
+        }
         EASIA_ASSIGN_OR_RETURN(
             bool stop,
             try_right(base[depth][it->second], base_ids[depth][it->second]));
@@ -721,8 +737,15 @@ Status BuildRowsPlanned(const SelectPlan& plan,
       for (RowId id : ids) {
         EASIA_ASSIGN_OR_RETURN(Row row, scan.table->Get(id));
         EvalEnv renv{&scan_schemas[depth], &row};
+        // An index hit shares the key string, which is not equality past
+        // 2^53: re-check the key values as the legacy executor compares.
         bool keep = true;
+        for (size_t i = 0; keep && i < key_values.size(); ++i) {
+          EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*join.right_keys[i], renv));
+          keep = v.Equals(key_values[i]);
+        }
         for (const Expr* e : scan.pushed) {
+          if (!keep) break;
           EASIA_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, renv));
           if (!IsTruthy(v)) {
             keep = false;
@@ -1021,11 +1044,11 @@ Result<QueryResult> FinishSelect(const SelectStmt& stmt,
 Result<QueryResult> ExecuteAggregateFast(const SelectStmt& stmt,
                                          const SelectPlan& plan) {
   const ScanPlan& scan = plan.scans[0];
-  const store::ColumnStore* cs = scan.table->column_store();
   EASIA_ASSIGN_OR_RETURN(
       std::vector<store::AggGroup> groups,
-      cs->AggregateScan(scan.kernel_predicates, plan.aggregate.group_by_cols,
-                        plan.aggregate.aggs));
+      scan.table->column_store().AggregateScan(
+          scan.kernel_predicates, plan.aggregate.group_by_cols,
+          plan.aggregate.aggs));
 
   std::vector<ColumnBinding> schema =
       TableSchema(scan.table->def(), scan.alias);

@@ -377,10 +377,11 @@ class SqlParser {
     EASIA_RETURN_IF_ERROR(ExpectSymbol(")"));
     // Optional storage / partitioning clauses in either order;
     // STORE/COLUMNAR/PARTITION/HASH/PARTITIONS stay contextual words.
+    // Every table is columnar, so `STORE COLUMNAR` is accepted and ignored
+    // (older snapshots and WALs carry it in their DDL).
     while (true) {
       if (ConsumeWord("STORE")) {
         EASIA_RETURN_IF_ERROR(ExpectWord("COLUMNAR"));
-        stmt->def.columnar = true;
       } else if (ConsumeWord("PARTITION")) {
         EASIA_RETURN_IF_ERROR(ExpectKeyword("BY"));
         EASIA_RETURN_IF_ERROR(ExpectWord("HASH"));

@@ -265,7 +265,7 @@ void ChooseAccessPath(ScanPlan* scan,
 }
 
 /// A seq scan whose pushed conjuncts all convert runs the filter kernel
-/// (Table::FilterScan, either layout) instead of copying every row.
+/// (Table::FilterScan) instead of copying every row.
 /// All-or-nothing: partial conversion could change which conjunct errors
 /// first.
 void ChooseKernelFilter(ScanPlan* scan,
@@ -293,10 +293,7 @@ void PlanAggregateFastPath(const SelectStmt& stmt,
                            SelectPlan* plan) {
   if (plan->scans.size() != 1) return;
   ScanPlan& scan = plan->scans[0];
-  if (scan.access != ScanPlan::Access::kSeqScan ||
-      scan.table->storage_kind() != Table::StorageKind::kColumnar) {
-    return;
-  }
+  if (scan.access != ScanPlan::Access::kSeqScan) return;
   if (!scan.pushed.empty() && !scan.kernel_filter) return;
   if (!plan->residual_where.empty()) return;
   if (stmt.having != nullptr || !stmt.order_by.empty() || stmt.distinct ||

@@ -45,11 +45,10 @@ struct ScanPlan {
   /// row (including index hits), so an index choice can never change which
   /// rows qualify.
   std::vector<const Expr*> pushed;
-  /// Seq scans on either layout: every pushed conjunct translated into a
-  /// kernel predicate, so the executor runs Table::FilterScan and copies
-  /// only the rows that pass instead of every row. Set only when ALL
-  /// pushed conjuncts convert (partial conversion could reorder which
-  /// predicate errors first).
+  /// Seq scans: every pushed conjunct translated into a kernel predicate,
+  /// so the executor runs Table::FilterScan and copies only the rows that
+  /// pass instead of every row. Set only when ALL pushed conjuncts convert
+  /// (partial conversion could reorder which predicate errors first).
   bool kernel_filter = false;
   std::vector<store::ColPredicate> kernel_predicates;
 };
@@ -82,7 +81,7 @@ struct JoinPlan {
 
 /// Aggregation step of a planned SELECT. `present` marks any aggregate /
 /// GROUP BY query; `fast_path` additionally means the whole query maps
-/// onto one columnar AggregateScan kernel call: single columnar seq scan,
+/// onto one columnar AggregateScan kernel call: a single seq scan,
 /// every pushed predicate kernel-convertible, plain-column GROUP BY, and a
 /// select list of plain columns and plain aggregate calls — no HAVING,
 /// ORDER BY, DISTINCT, LIMIT/OFFSET, joins or residual predicates.

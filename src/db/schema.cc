@@ -102,7 +102,6 @@ std::string TableDef::ToSql() const {
     out += i + 1 < unique_constraints.size() ? ",\n" : "\n";
   }
   out += ")";
-  if (columnar) out += " STORE COLUMNAR";
   if (partitions > 0) {
     out += " PARTITION BY HASH(" + partition_by + ") PARTITIONS " +
            std::to_string(partitions);

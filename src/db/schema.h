@@ -40,9 +40,6 @@ struct TableDef {
   std::vector<std::string> primary_key;
   std::vector<ForeignKeyDef> foreign_keys;
   std::vector<std::vector<std::string>> unique_constraints;
-  /// True for `CREATE TABLE ... STORE COLUMNAR`: the table is hosted in
-  /// columnar pages (store::ColumnStore) instead of the row map.
-  bool columnar = false;
   /// For `CREATE TABLE ... PARTITION BY HASH(col) PARTITIONS n`: the hash
   /// partitioning column (must be the table's single primary-key column)
   /// and partition count. Empty/0 for unpartitioned tables. A single-node

@@ -1300,16 +1300,14 @@ Result<QueryResult> ShardCoordinator::RunGather(
   const size_t n = shards_.size();
   if (fetched_rows != nullptr) fetched_rows->assign(n, -1);
   std::map<std::string, uint64_t> host_bytes;
-  // One coordinator-local row-store table per distinct FROM table, filled
+  // One coordinator-local table per distinct FROM table, filled
   // in global insertion order so the planner sees single-node row order.
   std::map<std::string, std::unique_ptr<Table>> temp;
   for (size_t i = 0; i < stmt.from.size(); ++i) {
     const SelectAnalysis::Route& route = a.routes[i];
     std::string key = ToUpper(route.def->name);
     if (temp.count(key) > 0) continue;
-    TableDef temp_def = *route.def;
-    temp_def.columnar = false;
-    auto local = std::make_unique<Table>(std::move(temp_def));
+    auto local = std::make_unique<Table>(*route.def);
     if (route.state == nullptr) {
       // Broadcast table: shard 0's copy is in single-node insertion order.
       repl::ReadTicket ticket = ShardRead(0);

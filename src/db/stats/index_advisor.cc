@@ -10,13 +10,8 @@ namespace easia::db::stats {
 namespace {
 
 /// True when some unique or secondary index of `table` leads with
-/// `column` (so an equality on it already has an index access path), or —
-/// for prefix patterns — a radix index exists on the column.
-bool ColumnCovered(const Table& table, const std::string& column,
-                   IndexRecommendation::Kind kind) {
-  if (kind == IndexRecommendation::Kind::kPrefix) {
-    return table.HasRadixIndex(column);
-  }
+/// `column`, so an equality on it already has an index access path.
+bool ColumnCovered(const Table& table, const std::string& column) {
   for (const auto& cols : table.UniqueIndexColumns()) {
     if (!cols.empty() && EqualsIgnoreCase(cols[0], column)) return true;
   }
@@ -44,53 +39,32 @@ void IndexAdvisor::ObservePlan(const SelectPlan& plan) {
       continue;
     }
     for (const Expr* e : scan.pushed) {
-      if (e == nullptr) continue;
-      if (e->kind != Expr::Kind::kBinary) continue;
-      if (e->op == Expr::Op::kEq) {
-        // column = literal, either side order.
-        std::string col;
-        if (e->right != nullptr && e->right->kind == Expr::Kind::kLiteral &&
-            !e->right->literal.is_null()) {
-          col = OwnColumn(e->left.get(), scan);
-        }
-        if (col.empty() && e->left != nullptr &&
-            e->left->kind == Expr::Kind::kLiteral &&
-            !e->left->literal.is_null()) {
-          col = OwnColumn(e->right.get(), scan);
-        }
-        if (col.empty() ||
-            ColumnCovered(*scan.table, col,
-                          IndexRecommendation::Kind::kEquality)) {
-          continue;
-        }
-        Record(scan.table->def().name, col,
-               IndexRecommendation::Kind::kEquality);
-      } else if (e->op == Expr::Op::kLike) {
-        if (e->right == nullptr || e->right->kind != Expr::Kind::kLiteral ||
-            !e->right->literal.IsStringKind()) {
-          continue;
-        }
-        if (LikePatternPrefix(e->right->literal.AsString()).empty()) {
-          continue;  // leading wildcard: no index could narrow it
-        }
-        std::string col = OwnColumn(e->left.get(), scan);
-        if (col.empty() ||
-            ColumnCovered(*scan.table, col,
-                          IndexRecommendation::Kind::kPrefix)) {
-          continue;
-        }
-        Record(scan.table->def().name, col,
-               IndexRecommendation::Kind::kPrefix);
+      if (e == nullptr || e->kind != Expr::Kind::kBinary ||
+          e->op != Expr::Op::kEq) {
+        continue;
       }
+      // column = literal, either side order.
+      std::string col;
+      if (e->right != nullptr && e->right->kind == Expr::Kind::kLiteral &&
+          !e->right->literal.is_null()) {
+        col = OwnColumn(e->left.get(), scan);
+      }
+      if (col.empty() && e->left != nullptr &&
+          e->left->kind == Expr::Kind::kLiteral &&
+          !e->left->literal.is_null()) {
+        col = OwnColumn(e->right.get(), scan);
+      }
+      if (col.empty() || ColumnCovered(*scan.table, col)) continue;
+      Record(scan.table->def().name, col);
     }
   }
 }
 
-void IndexAdvisor::Record(const std::string& table, const std::string& column,
-                          IndexRecommendation::Kind kind) {
+void IndexAdvisor::Record(const std::string& table,
+                          const std::string& column) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++hits_[Key{table, column, kind}];
+    ++hits_[{table, column}];
   }
   if (metrics_ != nullptr) {
     metrics_
@@ -98,11 +72,7 @@ void IndexAdvisor::Record(const std::string& table, const std::string& column,
             "easia_db_index_advisor_hits_total",
             "Seq-scan predicates that an index on (table, column) would "
             "have served, by predicate kind.",
-            {{"column", column},
-             {"kind", kind == IndexRecommendation::Kind::kEquality
-                          ? "equality"
-                          : "prefix"},
-             {"table", table}})
+            {{"column", column}, {"kind", "equality"}, {"table", table}})
         ->Increment();
   }
 }
@@ -115,9 +85,8 @@ std::vector<IndexRecommendation> IndexAdvisor::Recommendations(
     for (const auto& [key, count] : hits_) {
       if (count < min_hits) continue;
       IndexRecommendation rec;
-      rec.table = key.table;
-      rec.column = key.column;
-      rec.kind = key.kind;
+      rec.table = key.first;
+      rec.column = key.second;
       rec.hits = count;
       out.push_back(std::move(rec));
     }

@@ -16,36 +16,32 @@ struct SelectPlan;
 namespace easia::db::stats {
 
 /// One hot-predicate pattern the advisor has seen often enough to report:
-/// queries keep filtering `table.column` by equality (or LIKE-prefix)
-/// through a sequential scan, and no existing index covers the column.
+/// queries keep filtering `table.column` by equality through a sequential
+/// scan, and no existing index leads with the column. (LIKE-prefix
+/// patterns need no advice: every VARCHAR column carries a radix index.)
 struct IndexRecommendation {
   std::string table;
   std::string column;
-  enum class Kind { kEquality, kPrefix } kind = Kind::kEquality;
   uint64_t hits = 0;
-
-  const char* kind_name() const {
-    return kind == Kind::kEquality ? "equality" : "prefix";
-  }
 };
 
 /// Watches executed plans for sequential scans carrying indexable pushed
-/// predicates and counts how often each (table, column, predicate kind)
-/// misses an index. The database feeds it every planned SELECT; the
-/// /stats page surfaces the tally, and ApplyIndexRecommendations turns
-/// hot equality patterns into secondary indexes.
+/// predicates and counts how often each (table, column) misses an index.
+/// The database feeds it every planned SELECT; the /stats page surfaces
+/// the tally, and ApplyIndexRecommendations turns hot patterns into
+/// secondary indexes.
 ///
 /// Thread-safe: observation happens under the database's shared (read)
 /// lock, so concurrent readers tally through the advisor's own mutex.
 class IndexAdvisor {
  public:
   /// Optional: hit counts are mirrored into
-  /// `easia_db_index_advisor_hits_total{table,column,kind}`.
+  /// `easia_db_index_advisor_hits_total{table,column,kind="equality"}`.
   void set_metrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
   /// Tallies every seq scan in `plan` whose pushed conjuncts contain a
-  /// column-vs-literal equality or a LIKE with a literal prefix, when the
-  /// scanned table has no index covering that column.
+  /// column-vs-literal equality, when the scanned table has no index
+  /// leading with that column.
   void ObservePlan(const SelectPlan& plan);
 
   /// Patterns with at least `min_hits` observations, hottest first (ties
@@ -58,22 +54,11 @@ class IndexAdvisor {
   void Clear();
 
  private:
-  struct Key {
-    std::string table;
-    std::string column;
-    IndexRecommendation::Kind kind;
-    bool operator<(const Key& o) const {
-      if (table != o.table) return table < o.table;
-      if (column != o.column) return column < o.column;
-      return kind < o.kind;
-    }
-  };
-
-  void Record(const std::string& table, const std::string& column,
-              IndexRecommendation::Kind kind);
+  void Record(const std::string& table, const std::string& column);
 
   mutable std::mutex mu_;
-  std::map<Key, uint64_t> hits_;
+  /// Hits by (table, column).
+  std::map<std::pair<std::string, std::string>, uint64_t> hits_;
   obs::MetricsRegistry* metrics_ = nullptr;
 };
 

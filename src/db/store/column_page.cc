@@ -86,23 +86,6 @@ bool ComparisonPasses(ColPredicate::Op op, int cmp) {
 
 }  // namespace
 
-bool CellMatches(const ColPredicate& p, const Value& cell) {
-  switch (p.op) {
-    case ColPredicate::Op::kIsNull:
-      return cell.is_null();
-    case ColPredicate::Op::kIsNotNull:
-      return !cell.is_null();
-    default:
-      break;
-  }
-  if (cell.is_null() || p.literal.is_null()) return false;
-  if (p.op == ColPredicate::Op::kLike || p.op == ColPredicate::Op::kNotLike) {
-    bool match = LikeMatch(cell.AsString(), p.literal.AsString());
-    return p.op == ColPredicate::Op::kLike ? match : !match;
-  }
-  return ComparisonPasses(p.op, cell.Compare(p.literal));
-}
-
 ColumnStore::ColumnStore(const TableDef& def) {
   columns_.reserve(def.columns.size());
   for (const ColumnDef& col : def.columns) {
@@ -128,84 +111,77 @@ void ColumnStore::SetBit(std::vector<uint64_t>* words, size_t i, bool value) {
   }
 }
 
-Status ColumnStore::WriteCell(Column* c, size_t slot, const Value& v,
-                              bool append) {
-  if (v.is_null()) {
-    if (append) {
-      if (IsFixedInt(c->type)) {
-        c->ints.push_back(0);
-      } else if (c->type == DataType::kDouble) {
-        c->doubles.push_back(0);
-      } else {
-        c->text_off.push_back(0);
-        c->text_len.push_back(0);
-      }
-    }
-    SetBit(&c->null_bits, slot, true);
-    return Status::OK();
-  }
-  if (IsFixedInt(c->type)) {
-    if (!v.IsNumericKind()) {
-      return Status::Internal("columnar store: non-numeric value in " +
-                              std::string(DataTypeName(c->type)) + " column");
-    }
-    if (append) {
-      c->ints.push_back(v.AsInt());
-    } else {
-      c->ints[slot] = v.AsInt();
-    }
-  } else if (c->type == DataType::kDouble) {
-    if (!v.IsNumericKind()) {
-      return Status::Internal(
-          "columnar store: non-numeric value in DOUBLE column");
-    }
-    if (append) {
-      c->doubles.push_back(v.AsDouble());
-    } else {
-      c->doubles[slot] = v.AsDouble();
-    }
-  } else {
-    if (!v.IsStringKind()) {
-      return Status::Internal(
-          "columnar store: non-string value in text column");
-    }
-    // Text updates append fresh bytes; the old span becomes arena garbage
-    // (no compaction — ingest-mostly workload).
-    uint32_t off = static_cast<uint32_t>(c->arena.size());
-    c->arena += v.AsString();
-    uint32_t len = static_cast<uint32_t>(v.AsString().size());
-    if (append) {
-      c->text_off.push_back(off);
-      c->text_len.push_back(len);
-    } else {
-      c->text_off[slot] = off;
-      c->text_len[slot] = len;
-    }
-  }
-  SetBit(&c->null_bits, slot, false);
-  return Status::OK();
-}
-
-Status ColumnStore::Append(RowId id, const Row& row) {
+Status ColumnStore::CheckRow(const Row& row) const {
   if (row.size() != columns_.size()) {
     return Status::Internal("columnar store: row width mismatch");
   }
+  for (size_t i = 0; i < row.size(); ++i) {
+    const Value& v = row[i];
+    DataType type = columns_[i].type;
+    if (v.is_null() || (IsText(type) ? v.IsStringKind() : v.IsNumericKind())) {
+      continue;
+    }
+    return Status::Internal(
+        IsText(type) ? std::string("columnar store: non-string value in "
+                                   "text column")
+                     : "columnar store: non-numeric value in " +
+                           std::string(DataTypeName(type)) + " column");
+  }
+  return Status::OK();
+}
+
+void ColumnStore::WriteCell(Column* c, size_t slot, const Value& v,
+                            bool append) {
+  const bool was_null = !append && GetBit(c->null_bits, slot);
+  if (IsFixedInt(c->type)) {
+    int64_t x = v.is_null() ? 0 : v.AsInt();
+    if (append) {
+      c->ints.push_back(x);
+    } else {
+      c->ints[slot] = x;
+    }
+  } else if (c->type == DataType::kDouble) {
+    double x = v.is_null() ? 0 : v.AsDouble();
+    if (append) {
+      c->doubles.push_back(x);
+    } else {
+      c->doubles[slot] = x;
+    }
+  } else if (append) {
+    std::string_view text = v.is_null() ? std::string_view() : v.AsString();
+    c->text_off.push_back(c->arena.size());
+    c->text_len.push_back(text.size());
+    c->arena += text;
+    c->live_text += text.size();
+  } else if (v.is_null()) {
+    if (!was_null) c->live_text -= c->text_len[slot];
+  } else if (was_null || TextAt(*c, slot) != v.AsString()) {
+    // Changed bytes go to the arena's end; the old span becomes garbage
+    // for MaybeCompact to weigh. Unchanged bytes stay where they are.
+    if (!was_null) c->live_text -= c->text_len[slot];
+    c->text_off[slot] = c->arena.size();
+    c->text_len[slot] = v.AsString().size();
+    c->arena += v.AsString();
+    c->live_text += v.AsString().size();
+  }
+  SetBit(&c->null_bits, slot, v.is_null());
+}
+
+Status ColumnStore::Append(RowId id, const Row& row) {
+  EASIA_RETURN_IF_ERROR(CheckRow(row));
   size_t slot = slot_ids_.size();
   // One hash probe doubles as the duplicate check and the insert.
   auto [it, inserted] = slot_of_.try_emplace(id, static_cast<uint32_t>(slot));
   if (!inserted) {
     return Status::Internal("columnar store: duplicate row id");
   }
-  if (!slot_ids_.empty() && id < slot_ids_.back()) slots_monotonic_ = false;
+  if (!slot_ids_.empty() && id < slot_ids_.back()) ordered_ = false;
   for (size_t i = 0; i < columns_.size(); ++i) {
-    Status written = WriteCell(&columns_[i], slot, row[i], /*append=*/true);
-    if (!written.ok()) {
-      slot_of_.erase(it);
-      return written;
-    }
+    WriteCell(&columns_[i], slot, row[i], /*append=*/true);
   }
   slot_ids_.push_back(id);
   SetBit(&live_bits_, slot, true);
+  MaybeCompact();
   return Status::OK();
 }
 
@@ -214,13 +190,11 @@ Status ColumnStore::Update(RowId id, const Row& row) {
   if (it == slot_of_.end()) {
     return Status::NotFound("columnar store: row not found");
   }
-  if (row.size() != columns_.size()) {
-    return Status::Internal("columnar store: row width mismatch");
-  }
+  EASIA_RETURN_IF_ERROR(CheckRow(row));
   for (size_t i = 0; i < columns_.size(); ++i) {
-    EASIA_RETURN_IF_ERROR(WriteCell(&columns_[i], it->second, row[i],
-                                    /*append=*/false));
+    WriteCell(&columns_[i], it->second, row[i], /*append=*/false);
   }
+  MaybeCompact();
   return Status::OK();
 }
 
@@ -229,9 +203,74 @@ Status ColumnStore::Delete(RowId id) {
   if (it == slot_of_.end()) {
     return Status::NotFound("columnar store: row not found");
   }
-  SetBit(&live_bits_, it->second, false);
+  const size_t slot = it->second;
+  for (Column& c : columns_) {
+    if (IsText(c.type) && !GetBit(c.null_bits, slot)) {
+      c.live_text -= c.text_len[slot];
+    }
+  }
+  SetBit(&live_bits_, slot, false);
   slot_of_.erase(it);
+  MaybeCompact();
   return Status::OK();
+}
+
+void ColumnStore::MaybeCompact() {
+  const size_t dead = Slots() - LiveRows();
+  bool compact = dead > 0 && dead >= LiveRows();
+  for (const Column& c : columns_) {
+    if (!IsText(c.type)) continue;
+    const size_t live = c.live_text + Slots() * 2 * sizeof(uint64_t);
+    compact = compact || c.arena.capacity() > 2 * live;
+  }
+  if (compact) Compact();
+}
+
+void ColumnStore::Compact() {
+  std::vector<uint32_t> order;  // live slots, ascending RowId
+  order.reserve(LiveRows());
+  ForEachLiveSlot([&](RowId, size_t slot) {
+    order.push_back(static_cast<uint32_t>(slot));
+  });
+  const size_t n = order.size();
+  for (Column& c : columns_) {
+    Column fresh;
+    fresh.type = c.type;
+    fresh.null_bits.assign((n + 63) / 64, 0);
+    if (IsFixedInt(c.type)) {
+      fresh.ints.reserve(n);
+      for (uint32_t slot : order) fresh.ints.push_back(c.ints[slot]);
+    } else if (c.type == DataType::kDouble) {
+      fresh.doubles.reserve(n);
+      for (uint32_t slot : order) fresh.doubles.push_back(c.doubles[slot]);
+    } else {
+      fresh.text_off.reserve(n);
+      fresh.text_len.reserve(n);
+      fresh.arena.reserve(c.live_text);
+      for (uint32_t slot : order) {
+        std::string_view text =
+            GetBit(c.null_bits, slot) ? std::string_view() : TextAt(c, slot);
+        fresh.text_off.push_back(fresh.arena.size());
+        fresh.text_len.push_back(text.size());
+        fresh.arena += text;
+      }
+      fresh.live_text = fresh.arena.size();
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (GetBit(c.null_bits, order[i])) SetBit(&fresh.null_bits, i, true);
+    }
+    c = std::move(fresh);
+  }
+  std::vector<RowId> ids;
+  ids.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    ids.push_back(slot_ids_[order[i]]);
+    slot_of_[ids.back()] = static_cast<uint32_t>(i);
+  }
+  slot_ids_ = std::move(ids);
+  live_bits_.assign((n + 63) / 64, 0);
+  for (size_t i = 0; i < n; ++i) SetBit(&live_bits_, i, true);
+  ordered_ = true;
 }
 
 Value ColumnStore::MaterialiseCell(const Column& c, size_t slot) const {
@@ -275,19 +314,18 @@ Result<Row> ColumnStore::Get(RowId id) const {
 
 template <typename Fn>
 void ColumnStore::ForEachLiveSlot(Fn&& fn) const {
-  if (slots_monotonic_) {
+  if (ordered_) {
     for (size_t slot = 0; slot < slot_ids_.size(); ++slot) {
       if (SlotLive(slot)) fn(slot_ids_[slot], slot);
     }
   } else {
     // The hash map has no iteration order; rebuild the ascending-RowId
-    // order the scan contract promises. Only reached after out-of-order
-    // appends (WAL replay of interleaved transactions), never on the bulk
-    // ingest path.
-    std::vector<std::pair<RowId, uint32_t>> ordered(slot_of_.begin(),
-                                                    slot_of_.end());
-    std::sort(ordered.begin(), ordered.end());
-    for (const auto& [id, slot] : ordered) fn(id, slot);
+    // order the scan contract promises. Only reached between an
+    // out-of-order Append and the Compact() that follows it.
+    std::vector<std::pair<RowId, uint32_t>> sorted(slot_of_.begin(),
+                                                   slot_of_.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (const auto& [id, slot] : sorted) fn(id, slot);
   }
 }
 
@@ -297,6 +335,14 @@ void ColumnStore::ForEachRow(
   ForEachLiveSlot([&](RowId id, size_t slot) {
     MaterialiseRow(slot, &scratch);
     fn(id, scratch);
+  });
+}
+
+void ColumnStore::ForEachValue(
+    size_t column, const std::function<bool(const Value&)>& fn) const {
+  bool more = true;
+  ForEachLiveSlot([&](RowId, size_t slot) {
+    more = more && fn(MaterialiseCell(columns_[column], slot));
   });
 }
 
@@ -536,8 +582,8 @@ size_t ColumnStore::ApproxBytes() const {
   for (const Column& c : columns_) {
     bytes += c.ints.capacity() * sizeof(int64_t) +
              c.doubles.capacity() * sizeof(double) +
-             c.text_off.capacity() * sizeof(uint32_t) +
-             c.text_len.capacity() * sizeof(uint32_t) + c.arena.capacity() +
+             c.text_off.capacity() * sizeof(uint64_t) +
+             c.text_len.capacity() * sizeof(uint64_t) + c.arena.capacity() +
              c.null_bits.capacity() * sizeof(uint64_t);
   }
   bytes += slot_ids_.capacity() * sizeof(RowId) +

@@ -42,11 +42,6 @@ struct ColPredicate {
   Value literal;  // unused for IS [NOT] NULL
 };
 
-/// Tests `p` on one stored cell with the executor's own calls
-/// (Value::Compare, LikeMatch), NULL and unknown both rejecting as in
-/// IsTruthy. The row-store scan kernel runs this on cells in place.
-bool CellMatches(const ColPredicate& p, const Value& cell);
-
 /// One aggregate function in kernel form.
 struct AggSpec {
   enum class Fn { kCountStar, kCount, kSum, kMin, kMax, kAvg };
@@ -66,23 +61,30 @@ struct AggGroup {
 /// Columnar table storage: one typed array per column (fixed-width int64
 /// and double vectors, arena-backed text with offset/length pairs) plus a
 /// null bitmap and a liveness bitmap, in the spirit of the scan-oriented
-/// catalogue stores behind SDSS-scale archives. Slots are append-only;
-/// UPDATE overwrites fixed-width cells in place and appends text bytes,
-/// DELETE tombstones the slot. The arena is not compacted — acceptable for
-/// an ingest-mostly scientific catalogue.
+/// catalogue stores behind SDSS-scale archives. Every table is stored this
+/// way. UPDATE overwrites fixed-width cells in place and appends a text
+/// cell's bytes only when they change; DELETE tombstones the slot.
+///
+/// Garbage is bounded by one compaction step, Compact(), which rewrites
+/// the live rows into exactly sized arrays in ascending RowId order. Every
+/// write runs it when dead slots are at least as many as live ones, or
+/// when a text column's arena capacity passes twice its live bytes (live
+/// text plus 16 bytes of offset and length per slot). Either way the
+/// garbage is in proportion to what a compaction copies, so memory stays
+/// O(live data) at amortised O(row width) per write (DESIGN.md §4h).
 ///
 /// Scan kernels (FilterScan / AggregateScan) run over the raw arrays
-/// without materialising Values, which is where the columnar layout pays:
-/// the row path pays a Row materialisation plus expression-tree walk per
-/// row, the kernels pay a branch and a comparison per cell. Kernel
-/// comparisons follow Value::Compare: two integer-backed values compare
-/// as int64, anything else numeric as double.
+/// without materialising Values: they pay a branch and a comparison per
+/// cell. Kernel comparisons follow Value::Compare: two integer-backed
+/// values compare as int64, anything else numeric as double.
 class ColumnStore {
  public:
   explicit ColumnStore(const TableDef& def);
 
   /// Appends a row under `id`. The row must be fully coerced to the table's
-  /// column types (Table validates before calling).
+  /// column types (Table validates before calling). An `id` below the
+  /// newest slot's (a rolled-back DELETE re-inserting its row) leaves the
+  /// store unordered until the next Compact().
   Status Append(RowId id, const Row& row);
   Status Update(RowId id, const Row& row);
   Status Delete(RowId id);
@@ -90,9 +92,25 @@ class ColumnStore {
   bool Contains(RowId id) const { return slot_of_.count(id) > 0; }
   Result<Row> Get(RowId id) const;
   size_t LiveRows() const { return slot_of_.size(); }
+  /// Slots ever appended and not yet compacted away, live or dead.
+  size_t Slots() const { return slot_ids_.size(); }
 
-  /// Visits live rows in ascending RowId order (the row-store scan order).
+  /// True while the slots hold ascending RowIds, so scans walk the arrays
+  /// linearly. False after an out-of-order Append until Compact().
+  bool ordered() const { return ordered_; }
+
+  /// Rewrites the live rows into fresh, exactly sized arrays in ascending
+  /// RowId order, dropping dead slots and dead text bytes.
+  void Compact();
+
+  /// Visits live rows in ascending RowId order.
   void ForEachRow(const std::function<void(RowId, const Row&)>& fn) const;
+
+  /// Visits one column's cells of the live rows in ascending RowId order,
+  /// materialising only that cell; once `fn` returns false the remaining
+  /// slots are skipped unread.
+  void ForEachValue(size_t column,
+                    const std::function<bool(const Value&)>& fn) const;
 
   /// RowIds of live rows satisfying every predicate, ascending. With no
   /// predicates this is a full scan of live rows.
@@ -119,9 +137,11 @@ class ColumnStore {
     DataType type = DataType::kVarchar;
     std::vector<int64_t> ints;        // kInteger / kTimestamp
     std::vector<double> doubles;      // kDouble
-    std::vector<uint32_t> text_off;   // string kinds: arena offset
-    std::vector<uint32_t> text_len;   // string kinds: byte length
+    std::vector<uint64_t> text_off;   // string kinds: arena offset
+    std::vector<uint64_t> text_len;   // string kinds: byte length
     std::string arena;                // string kinds: payload bytes
+    /// Arena bytes referenced by live non-NULL cells; the rest is garbage.
+    size_t live_text = 0;
     std::vector<uint64_t> null_bits;  // bit set = NULL
   };
 
@@ -141,7 +161,13 @@ class ColumnStore {
   }
   Value MaterialiseCell(const Column& c, size_t slot) const;
   void MaterialiseRow(size_t slot, Row* row) const;
-  Status WriteCell(Column* c, size_t slot, const Value& v, bool append);
+  /// Checks every cell of `row` against its column's storage family, so
+  /// a write never stops half-way through a row.
+  Status CheckRow(const Row& row) const;
+  /// Writes one cell of a row CheckRow accepted.
+  void WriteCell(Column* c, size_t slot, const Value& v, bool append);
+  /// Compacts when the garbage rule in the class comment holds.
+  void MaybeCompact();
 
   bool SlotLive(size_t slot) const { return GetBit(live_bits_, slot); }
   /// Evaluates one kernel predicate at `slot` with SQL three-valued logic
@@ -158,12 +184,10 @@ class ColumnStore {
   std::vector<RowId> slot_ids_;       // slot -> RowId
   std::vector<uint64_t> live_bits_;   // bit set = live
   /// Live rows only. Point lookups dominate (Append/Update/Delete/Get);
-  /// the one ordered traversal (ForEachLiveSlot's non-monotonic fallback)
-  /// sorts a scratch copy instead of paying a tree walk per insert.
+  /// the one ordered traversal of an unordered store (Compact) sorts a
+  /// scratch copy instead of paying a tree walk per insert.
   std::unordered_map<RowId, uint32_t> slot_of_;
-  /// True while slots were appended in ascending RowId order, letting the
-  /// kernels scan arrays linearly instead of chasing the map.
-  bool slots_monotonic_ = true;
+  bool ordered_ = true;
 };
 
 }  // namespace store

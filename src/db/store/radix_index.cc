@@ -1,7 +1,6 @@
 #include "db/store/radix_index.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 namespace easia::db::store {
@@ -51,6 +50,7 @@ void RadixIndex::Insert(std::string_view key, uint64_t id) {
             return static_cast<unsigned char>(a->edge[0]) <
                    static_cast<unsigned char>(b->edge[0]);
           });
+      edge_bytes_ += rest.size();
       node->children.insert(pos, std::move(leaf));
       ++node_count_;
       ++entries_;
@@ -103,6 +103,7 @@ void RadixIndex::Remove(std::string_view key, uint64_t id) {
       for (auto child_it = parent->children.begin();
            child_it != parent->children.end(); ++child_it) {
         if (child_it->get() == current) {
+          edge_bytes_ -= current->edge.size();
           parent->children.erase(child_it);
           --node_count_;
           break;
@@ -178,18 +179,27 @@ std::vector<std::string> RadixIndex::PrefixValues(std::string_view prefix,
 
 void RadixIndex::AccountNode(const Node& node, Stats* stats) {
   ++stats->nodes;
-  stats->bytes += sizeof(Node) + node.edge.capacity() +
-                  node.rows.capacity() * sizeof(uint64_t) +
-                  node.children.capacity() * sizeof(std::unique_ptr<Node>);
+  stats->bytes += sizeof(Node) + node.edge.size() +
+                  node.rows.size() * sizeof(uint64_t) +
+                  node.children.size() * sizeof(std::unique_ptr<Node>);
   stats->entries += node.rows.size();
   for (const auto& child : node.children) AccountNode(*child, stats);
 }
 
-RadixIndex::Stats RadixIndex::GetStats() const {
+RadixIndex::Stats RadixIndex::WalkStats() const {
   Stats stats;
   AccountNode(root_, &stats);
-  assert(stats.nodes == node_count_);
-  assert(stats.entries == entries_);
+  return stats;
+}
+
+RadixIndex::Stats RadixIndex::GetStats() const {
+  // Every node but the root hangs off exactly one parent's child pointer.
+  Stats stats;
+  stats.nodes = node_count_;
+  stats.entries = entries_;
+  stats.bytes = node_count_ * sizeof(Node) + edge_bytes_ +
+                entries_ * sizeof(uint64_t) +
+                (node_count_ - 1) * sizeof(std::unique_ptr<Node>);
   return stats;
 }
 
@@ -198,6 +208,7 @@ void RadixIndex::Clear() {
   root_.rows.clear();
   node_count_ = 1;
   entries_ = 0;
+  edge_bytes_ = 0;
 }
 
 }  // namespace easia::db::store

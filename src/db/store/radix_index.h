@@ -46,10 +46,14 @@ class RadixIndex {
 
   struct Stats {
     size_t nodes = 0;    // trie nodes, including the root
-    size_t bytes = 0;    // approximate heap footprint
+    size_t bytes = 0;    // approximate heap footprint (sizes, not capacity)
     size_t entries = 0;  // (key, id) pairs
   };
+  /// Answers from counters maintained by Insert/Remove: O(1), so a
+  /// /metrics scrape never walks the trie.
   Stats GetStats() const;
+  /// The same figures by a full node walk, for checking the counters.
+  Stats WalkStats() const;
 
   size_t entries() const { return entries_; }
 
@@ -76,6 +80,7 @@ class RadixIndex {
   Node root_;
   size_t node_count_ = 1;
   size_t entries_ = 0;
+  size_t edge_bytes_ = 0;  // summed edge label lengths
 };
 
 }  // namespace easia::db::store

@@ -1,6 +1,7 @@
 #include "db/table.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/string_util.h"
 
@@ -85,16 +86,37 @@ Result<Row> DecodeRow(Decoder* dec) {
   return row;
 }
 
-Table::Table(TableDef def) : def_(std::move(def)) {
+namespace {
+
+/// True when two cells hold the same type and payload bits (two NULLs
+/// alike), so every index key built from one equals the key built from
+/// the other.
+bool SameCell(const Value& a, const Value& b) {
+  if (a.is_null() || b.is_null()) return a.is_null() == b.is_null();
+  if (a.type() != b.type()) return false;
+  if (a.IsStringKind()) return a.AsString() == b.AsString();
+  if (a.type() != DataType::kDouble) return a.AsInt() == b.AsInt();
+  double x = a.AsDouble();
+  double y = b.AsDouble();
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+bool SameCells(const Row& a, const Row& b, const std::vector<size_t>& cols) {
+  for (size_t idx : cols) {
+    if (!SameCell(a[idx], b[idx])) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+Table::Table(TableDef def) : def_(std::move(def)), store_(def_) {
   stats_.Reset(def_.columns.size());
-  if (def_.columnar) {
-    column_store_ = std::make_unique<store::ColumnStore>(def_);
-    // Columnar tables carry a radix prefix index per VARCHAR column,
-    // powering LIKE-prefix pushdown and /typeahead name lookups.
-    for (size_t i = 0; i < def_.columns.size(); ++i) {
-      if (def_.columns[i].type == DataType::kVarchar) {
-        radix_indexes_.try_emplace(i);
-      }
+  // A radix prefix index per VARCHAR column powers LIKE-prefix pushdown
+  // and /typeahead name lookups.
+  for (size_t i = 0; i < def_.columns.size(); ++i) {
+    if (def_.columns[i].type == DataType::kVarchar) {
+      radix_indexes_.try_emplace(i);
     }
   }
   auto add_index = [&](const std::vector<std::string>& columns,
@@ -161,14 +183,6 @@ Status Table::CheckUnique(const Row& row, RowId exclude_id) const {
   return Status::OK();
 }
 
-void Table::IndexInsert(RowId id, const Row& row) {
-  for (UniqueIndex& index : indexes_) {
-    if (!AllNonNull(row, index.column_indexes)) continue;
-    index.entries[MakeKey(row, index.column_indexes)] = id;
-  }
-  NonUniqueIndexInsert(id, row);
-}
-
 Status Table::ReserveUniqueEntries(RowId id, const Row& row) {
   for (size_t n = 0; n < indexes_.size(); ++n) {
     UniqueIndex& index = indexes_[n];
@@ -193,36 +207,52 @@ Status Table::ReserveUniqueEntries(RowId id, const Row& row) {
   return Status::OK();
 }
 
-void Table::NonUniqueIndexInsert(RowId id, const Row& row) {
-  for (SecondaryIndex& index : secondary_indexes_) {
-    if (!AllNonNull(row, index.column_indexes)) continue;
-    index.entries.emplace(MakeKey(row, index.column_indexes), id);
-  }
-  for (auto& [col, radix] : radix_indexes_) {
-    if (!row[col].is_null()) radix.Insert(row[col].AsString(), id);
-  }
-}
-
-void Table::IndexRemove(RowId id, const Row& row) {
+void Table::Reindex(RowId id, const Row* old_row, const Row* new_row,
+                    bool unique) {
+  // Both rows present and equal over `cols`: the entry stays put.
+  auto unchanged = [&](const std::vector<size_t>& cols) {
+    return old_row != nullptr && new_row != nullptr &&
+           SameCells(*old_row, *new_row, cols);
+  };
   for (UniqueIndex& index : indexes_) {
-    if (!AllNonNull(row, index.column_indexes)) continue;
-    auto it = index.entries.find(MakeKey(row, index.column_indexes));
-    if (it != index.entries.end() && it->second == id) {
-      index.entries.erase(it);
-    }
-  }
-  for (SecondaryIndex& index : secondary_indexes_) {
-    if (!AllNonNull(row, index.column_indexes)) continue;
-    auto range = index.entries.equal_range(MakeKey(row, index.column_indexes));
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == id) {
+    if (!unique || unchanged(index.column_indexes)) continue;
+    if (old_row != nullptr && AllNonNull(*old_row, index.column_indexes)) {
+      auto it = index.entries.find(MakeKey(*old_row, index.column_indexes));
+      if (it != index.entries.end() && it->second == id) {
         index.entries.erase(it);
-        break;
       }
     }
+    if (new_row != nullptr && AllNonNull(*new_row, index.column_indexes)) {
+      index.entries[MakeKey(*new_row, index.column_indexes)] = id;
+    }
+  }
+  for (SecondaryIndex& index : secondary_indexes_) {
+    if (unchanged(index.column_indexes)) continue;
+    if (old_row != nullptr && AllNonNull(*old_row, index.column_indexes)) {
+      auto range =
+          index.entries.equal_range(MakeKey(*old_row, index.column_indexes));
+      for (auto it = range.first; it != range.second; ++it) {
+        if (it->second == id) {
+          index.entries.erase(it);
+          break;
+        }
+      }
+    }
+    if (new_row != nullptr && AllNonNull(*new_row, index.column_indexes)) {
+      index.entries.emplace(MakeKey(*new_row, index.column_indexes), id);
+    }
   }
   for (auto& [col, radix] : radix_indexes_) {
-    if (!row[col].is_null()) radix.Remove(row[col].AsString(), id);
+    if (old_row != nullptr && new_row != nullptr &&
+        SameCell((*old_row)[col], (*new_row)[col])) {
+      continue;
+    }
+    if (old_row != nullptr && !(*old_row)[col].is_null()) {
+      radix.Remove((*old_row)[col].AsString(), id);
+    }
+    if (new_row != nullptr && !(*new_row)[col].is_null()) {
+      radix.Insert((*new_row)[col].AsString(), id);
+    }
   }
 }
 
@@ -233,143 +263,78 @@ Result<RowId> Table::Insert(const Row& row) {
   RowId id = next_row_id_;
   EASIA_RETURN_IF_ERROR(ReserveUniqueEntries(id, row));
   ++next_row_id_;
-  if (column_store_) {
-    Status appended = column_store_->Append(id, row);
-    if (!appended.ok()) {
-      IndexRemove(id, row);  // release the reserved unique entries
-      return appended;
-    }
-  } else {
-    rows_.emplace(id, row);
+  Status appended = store_.Append(id, row);
+  if (!appended.ok()) {
+    // Release the reserved unique entries.
+    Reindex(id, &row, nullptr, /*unique=*/true);
+    return appended;
   }
-  NonUniqueIndexInsert(id, row);
+  Reindex(id, nullptr, &row, /*unique=*/false);
   stats_.AddRow(row);
   return id;
 }
 
-Result<RowId> Table::Insert(Row&& row) {
-  // Columnar tables never store the row itself, so the const-ref path is
-  // already copy-free there.
-  if (column_store_) return Insert(row);
+Status Table::InsertWithId(RowId id, const Row& row) {
   if (row.size() != def_.columns.size()) {
     return Status::Internal("row arity mismatch in table " + def_.name);
   }
-  RowId id = next_row_id_;
-  EASIA_RETURN_IF_ERROR(ReserveUniqueEntries(id, row));
-  ++next_row_id_;
-  NonUniqueIndexInsert(id, row);
-  stats_.AddRow(row);
-  rows_.emplace(id, std::move(row));
-  return id;
-}
-
-Status Table::InsertWithId(RowId id, Row row) {
-  if (row.size() != def_.columns.size()) {
-    return Status::Internal("row arity mismatch in table " + def_.name);
-  }
-  bool present =
-      column_store_ ? column_store_->Contains(id) : rows_.count(id) != 0;
-  if (present) {
+  if (store_.Contains(id)) {
     return Status::AlreadyExists(StrPrintf("rowid %llu already present",
                                            static_cast<unsigned long long>(id)));
   }
   EASIA_RETURN_IF_ERROR(CheckUnique(row, 0));
-  if (column_store_) {
-    EASIA_RETURN_IF_ERROR(column_store_->Append(id, row));
-  }
-  IndexInsert(id, row);
+  EASIA_RETURN_IF_ERROR(store_.Append(id, row));
+  Reindex(id, nullptr, &row, /*unique=*/true);
   stats_.AddRow(row);
-  if (!column_store_) rows_.emplace(id, std::move(row));
   if (id >= next_row_id_) next_row_id_ = id + 1;
   return Status::OK();
 }
 
-Status Table::Update(RowId id, Row new_row) {
+Status Table::Update(RowId id, const Row& new_row) {
   if (new_row.size() != def_.columns.size()) {
     return Status::Internal("row arity mismatch in table " + def_.name);
   }
-  if (column_store_) {
-    Result<Row> old_row = column_store_->Get(id);
-    if (!old_row.ok()) {
-      return Status::NotFound("update: no such row in " + def_.name);
-    }
-    EASIA_RETURN_IF_ERROR(CheckUnique(new_row, id));
-    EASIA_RETURN_IF_ERROR(column_store_->Update(id, new_row));
-    IndexRemove(id, *old_row);
-    IndexInsert(id, new_row);
-    stats_.RemoveRow(*old_row);
-    stats_.AddRow(new_row);
-    return Status::OK();
-  }
-  auto it = rows_.find(id);
-  if (it == rows_.end()) {
+  Result<Row> old_row = store_.Get(id);
+  if (!old_row.ok()) {
     return Status::NotFound("update: no such row in " + def_.name);
   }
   EASIA_RETURN_IF_ERROR(CheckUnique(new_row, id));
-  IndexRemove(id, it->second);
-  IndexInsert(id, new_row);
-  stats_.RemoveRow(it->second);
+  EASIA_RETURN_IF_ERROR(store_.Update(id, new_row));
+  Reindex(id, &*old_row, &new_row, /*unique=*/true);
+  stats_.RemoveRow(*old_row);
   stats_.AddRow(new_row);
-  it->second = std::move(new_row);
   return Status::OK();
 }
 
 Status Table::Delete(RowId id) {
-  if (column_store_) {
-    Result<Row> old_row = column_store_->Get(id);
-    if (!old_row.ok()) {
-      return Status::NotFound("delete: no such row in " + def_.name);
-    }
-    EASIA_RETURN_IF_ERROR(column_store_->Delete(id));
-    IndexRemove(id, *old_row);
-    stats_.RemoveRow(*old_row);
-    return Status::OK();
-  }
-  auto it = rows_.find(id);
-  if (it == rows_.end()) {
+  Result<Row> old_row = store_.Get(id);
+  if (!old_row.ok()) {
     return Status::NotFound("delete: no such row in " + def_.name);
   }
-  IndexRemove(id, it->second);
-  stats_.RemoveRow(it->second);
-  rows_.erase(it);
+  EASIA_RETURN_IF_ERROR(store_.Delete(id));
+  Reindex(id, &*old_row, nullptr, /*unique=*/true);
+  stats_.RemoveRow(*old_row);
   return Status::OK();
 }
 
 Result<Row> Table::Get(RowId id) const {
-  if (column_store_) {
-    Result<Row> row = column_store_->Get(id);
-    if (!row.ok()) return Status::NotFound("no such row in " + def_.name);
-    return row;
-  }
-  auto it = rows_.find(id);
-  if (it == rows_.end()) {
-    return Status::NotFound("no such row in " + def_.name);
-  }
-  return it->second;
+  Result<Row> row = store_.Get(id);
+  if (!row.ok()) return Status::NotFound("no such row in " + def_.name);
+  return row;
 }
 
 void Table::ForEachRow(
     const std::function<void(RowId, const Row&)>& fn) const {
-  if (column_store_) {
-    column_store_->ForEachRow(fn);
-    return;
-  }
-  for (const auto& [id, row] : rows_) fn(id, row);
+  store_.ForEachRow(fn);
 }
 
 std::vector<RowId> Table::FilterScan(
     const std::vector<store::ColPredicate>& predicates) const {
-  if (column_store_) return column_store_->FilterScan(predicates);
-  std::vector<RowId> out;
-  for (const auto& [id, row] : rows_) {
-    if (std::all_of(predicates.begin(), predicates.end(),
-                    [&row](const store::ColPredicate& p) {
-                      return store::CellMatches(p, row[p.column]);
-                    })) {
-      out.push_back(id);
-    }
-  }
-  return out;
+  return store_.FilterScan(predicates);
+}
+
+void Table::RestoreScanOrder() {
+  if (!store_.ordered()) store_.Compact();
 }
 
 Result<RowId> Table::FindUnique(const std::vector<std::string>& columns,
@@ -521,16 +486,10 @@ bool Table::AnyRowWithValue(
       return false;
     }
   }
-  if (column_store_ == nullptr) {
-    for (const auto& [id, row] : rows_) {
-      if (matches(row)) return true;
-    }
-    return false;
-  }
   store::ColPredicate not_null;
   not_null.column = column_index;
   not_null.op = store::ColPredicate::Op::kIsNotNull;
-  for (RowId id : column_store_->FilterScan({not_null})) {
+  for (RowId id : store_.FilterScan({not_null})) {
     if (hit(id)) return true;
   }
   return false;
@@ -587,9 +546,8 @@ Status Table::CreateSecondaryIndex(const std::vector<std::string>& columns) {
 
 Table::StorageStats Table::GetStorageStats() const {
   StorageStats stats;
-  stats.columnar = column_store_ != nullptr;
   stats.rows = RowCount();
-  if (column_store_) stats.columnar_bytes = column_store_->ApproxBytes();
+  stats.columnar_bytes = store_.ApproxBytes();
   for (const auto& [col, radix] : radix_indexes_) {
     store::RadixIndex::Stats rs = radix.GetStats();
     stats.radix_nodes += rs.nodes;

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,21 +26,15 @@ Result<Row> DecodeRow(Decoder* dec);
 void EncodeValue(std::string* dst, const Value& value);
 Result<Value> DecodeValue(Decoder* dec);
 
-/// Physical storage for one table: live rows plus maintained unique
-/// indexes (primary key + UNIQUE constraints). This layer performs no
-/// constraint *policy* (that belongs to Database); it only keeps indexes
-/// consistent and detects duplicate keys.
-///
-/// Two storage kinds share this interface (chosen by `STORE COLUMNAR` in
-/// the DDL): the classic RowId -> Row map, and a columnar page store
-/// (store::ColumnStore) for catalogue-scale scan/aggregate workloads.
-/// Columnar tables additionally maintain one store::RadixIndex per
-/// VARCHAR column for `LIKE 'abc%'` pushdown and /typeahead, hooked into
-/// the same IndexInsert/IndexRemove maintenance as the key indexes.
+/// Physical storage for one table: live rows in a columnar page store
+/// (store::ColumnStore) plus maintained unique indexes (primary key +
+/// UNIQUE constraints), one secondary index per foreign key, and one
+/// store::RadixIndex per VARCHAR column for `LIKE 'abc%'` pushdown and
+/// /typeahead. This layer performs no constraint *policy* (that belongs
+/// to Database); it only keeps indexes consistent and detects duplicate
+/// keys.
 class Table {
  public:
-  enum class StorageKind { kRowStore, kColumnar };
-
   explicit Table(TableDef def);
 
   Table(const Table&) = delete;
@@ -51,49 +44,39 @@ class Table {
 
   const TableDef& def() const { return def_; }
 
-  StorageKind storage_kind() const {
-    return column_store_ ? StorageKind::kColumnar : StorageKind::kRowStore;
-  }
-
   /// Inserts a row (already validated/coerced) and returns its RowId.
   /// Fails with kConstraintViolation on a duplicate PK/UNIQUE key. The
-  /// const-ref form copies only for row-store tables (columnar storage
-  /// decomposes the row into column pages without keeping it), which
-  /// makes it the right call on the bulk-ingest path where the caller
-  /// still needs the row for the WAL record.
+  /// row is decomposed into column pages, never kept, so the caller still
+  /// owns it (the bulk-ingest path needs it for the WAL record).
   Result<RowId> Insert(const Row& row);
-  Result<RowId> Insert(Row&& row);
 
-  /// Inserts with a caller-chosen RowId (WAL replay).
-  Status InsertWithId(RowId id, Row row);
+  /// Inserts with a caller-chosen RowId (WAL replay, snapshot load, and
+  /// the undo of a DELETE).
+  Status InsertWithId(RowId id, const Row& row);
 
-  Status Update(RowId id, Row new_row);
+  /// Replaces a row. Only the index entries whose cells changed move.
+  Status Update(RowId id, const Row& new_row);
   Status Delete(RowId id);
   Result<Row> Get(RowId id) const;
 
-  /// Row-store only (columnar tables keep no row map); production code
-  /// iterates via ForEachRow, which works for both kinds.
-  const std::map<RowId, Row>& rows() const { return rows_; }
-  size_t RowCount() const {
-    return column_store_ ? column_store_->LiveRows() : rows_.size();
-  }
+  size_t RowCount() const { return store_.LiveRows(); }
 
   /// Visits every live row in ascending RowId order (the canonical scan
-  /// order for both storage kinds).
+  /// order).
   void ForEachRow(const std::function<void(RowId, const Row&)>& fn) const;
 
-  /// The scan filter kernel, on either layout: RowIds of live rows
-  /// satisfying every predicate, ascending. A columnar table runs
-  /// ColumnStore::FilterScan over its arrays; a row-store table tests
-  /// each stored cell in place (store::CellMatches). No row is copied.
+  /// The scan filter kernel: RowIds of live rows satisfying every
+  /// predicate, ascending, tested on the column arrays. No row is copied.
   std::vector<RowId> FilterScan(
       const std::vector<store::ColPredicate>& predicates) const;
 
-  /// The columnar page store, or null for a row-store table. The planner
-  /// and executor use it for the aggregate kernel.
-  const store::ColumnStore* column_store() const {
-    return column_store_.get();
-  }
+  /// The columnar page store. The executor runs the aggregate kernel on it.
+  const store::ColumnStore& column_store() const { return store_; }
+
+  /// Compacts the page store when InsertWithId re-inserted rows below the
+  /// newest RowId (the undo of a DELETE), so scans walk the arrays in
+  /// RowId order again. No-op on an ordered store.
+  void RestoreScanOrder();
 
   /// Looks up the RowId whose values in `columns` equal `key_values`,
   /// using a unique index when one covers the columns, else scanning.
@@ -124,7 +107,8 @@ class Table {
       const std::vector<std::string>& columns,
       const std::vector<Value>& key_values) const;
 
-  /// True when `column` carries a radix prefix index (columnar VARCHAR).
+  /// True when `column` carries a radix prefix index (every VARCHAR
+  /// column does).
   bool HasRadixIndex(std::string_view column) const;
 
   /// RowIds whose `column` value starts with `prefix`, ascending. Empty
@@ -160,9 +144,8 @@ class Table {
 
   /// Storage-level gauges for the obs registry.
   struct StorageStats {
-    bool columnar = false;
     size_t rows = 0;
-    size_t columnar_bytes = 0;  // 0 for row-store tables
+    size_t columnar_bytes = 0;
     size_t radix_nodes = 0;
     size_t radix_bytes = 0;
   };
@@ -187,15 +170,19 @@ class Table {
   /// Checks that inserting/updating to `row` (excluding `exclude_id`) does
   /// not collide with a unique index; returns the violated index name.
   Status CheckUnique(const Row& row, RowId exclude_id) const;
-  void IndexInsert(RowId id, const Row& row);
-  void IndexRemove(RowId id, const Row& row);
+  /// The one index-maintenance path: moves `id`'s entries from the keys of
+  /// `old_row` to those of `new_row` (null: the row is being inserted or
+  /// removed), touching only indexes whose cells differ bit for bit. The
+  /// unique indexes are skipped when `unique` is false (Insert reserved
+  /// them already).
+  void Reindex(RowId id, const Row* old_row, const Row* new_row,
+               bool unique);
   /// Single-pass duplicate check + unique-index insert for the hot Insert
-  /// path (one key build and one hash probe per index, versus CheckUnique
-  /// followed by IndexInsert doing both twice). On conflict, entries
-  /// reserved by earlier indexes are unwound and the same
-  /// kConstraintViolation CheckUnique would return is reported.
+  /// path (one key build and one probe per index, versus CheckUnique
+  /// followed by Reindex doing both twice). On conflict, entries reserved
+  /// by earlier indexes are unwound and the same kConstraintViolation
+  /// CheckUnique would return is reported.
   Status ReserveUniqueEntries(RowId id, const Row& row);
-  void NonUniqueIndexInsert(RowId id, const Row& row);
   /// True when every indexed column of `row` is non-NULL (SQL allows NULLs
   /// to escape UNIQUE enforcement).
   static bool AllNonNull(const Row& row, const std::vector<size_t>& cols);
@@ -203,12 +190,8 @@ class Table {
   const store::RadixIndex* FindRadix(std::string_view column) const;
 
   TableDef def_;
-  /// Row-store payload; empty for columnar tables.
-  std::map<RowId, Row> rows_;
-  /// Columnar payload; null for row-store tables.
-  std::unique_ptr<store::ColumnStore> column_store_;
-  /// Prefix indexes over VARCHAR columns (columnar tables only), keyed by
-  /// column index.
+  store::ColumnStore store_;
+  /// Prefix indexes over the VARCHAR columns, keyed by column index.
   std::map<size_t, store::RadixIndex> radix_indexes_;
   std::vector<UniqueIndex> indexes_;
   std::vector<SecondaryIndex> secondary_indexes_;

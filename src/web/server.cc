@@ -481,8 +481,7 @@ HttpResponse ArchiveWebServer::HandleTypeahead(const HttpRequest& request,
     if (!n.ok() || *n <= 0 || *n > 1000) return Error(400, "bad limit");
     // The typed prefix is escaped (%, _, \ become literals) before the
     // trailing %, so LikePatternPrefix recovers exactly the typed text and
-    // the planner serves the completion from the radix prefix index on
-    // columnar tables.
+    // the planner serves a VARCHAR completion from its radix prefix index.
     std::string pattern = EscapeLikePattern(prefix) + "%";
     std::string sql = "SELECT DISTINCT " + column + " FROM " + table_name +
                       " WHERE " + column + " LIKE '" +
@@ -1055,14 +1054,12 @@ HttpResponse ArchiveWebServer::HandleStats(const Session& session) {
       w.Open("tr");
       w.Element("th", "table");
       w.Element("th", "column");
-      w.Element("th", "kind");
       w.Element("th", "hits");
       w.Close();  // tr
       for (const db::stats::IndexRecommendation& rec : recs) {
         w.Open("tr");
         w.Element("td", rec.table);
         w.Element("td", rec.column);
-        w.Element("td", rec.kind_name());
         w.Element("td", StrPrintf("%llu",
                                   static_cast<unsigned long long>(rec.hits)));
         w.Close();  // tr

@@ -44,19 +44,16 @@ Result<XuisSpec> GenerateDefaultXuis(const db::Database& database,
         fks.table_column = fk->ref_table + "." + fk->ref_columns[0];
         xc.fk = fks;
       }
-      if (options.harvest_samples && options.samples_per_column > 0) {
+      // Large objects don't make useful QBE samples. The harvest keeps
+      // the first distinct values in RowId order, reading only this
+      // column and stopping at the limit.
+      if (options.harvest_samples && options.samples_per_column > 0 &&
+          col.type != db::DataType::kBlob && col.type != db::DataType::kClob) {
         EASIA_ASSIGN_OR_RETURN(size_t col_idx, def->ColumnIndex(col.name));
         std::set<std::string> seen;
-        table->ForEachRow([&](db::RowId, const db::Row& row) {
-          if (seen.size() >= options.samples_per_column) return;
-          const db::Value& v = row[col_idx];
-          if (v.is_null()) return;
-          // Large objects and datalinks don't make useful QBE samples.
-          if (col.type == db::DataType::kBlob ||
-              col.type == db::DataType::kClob) {
-            return;
-          }
-          seen.insert(v.ToDisplayString());
+        table->column_store().ForEachValue(col_idx, [&](const db::Value& v) {
+          if (!v.is_null()) seen.insert(v.ToDisplayString());
+          return seen.size() < options.samples_per_column;
         });
         xc.samples.assign(seen.begin(), seen.end());
       }

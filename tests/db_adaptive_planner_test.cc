@@ -283,7 +283,6 @@ TEST_F(AdaptivePlannerTest, AdvisorSurfacesHotEqualityPredicate) {
   ASSERT_FALSE(recs.empty());
   EXPECT_EQ(recs[0].table, "BIG");
   EXPECT_EQ(recs[0].column, "GRP");
-  EXPECT_EQ(recs[0].kind, stats::IndexRecommendation::Kind::kEquality);
   EXPECT_GE(recs[0].hits, 3u);
   // Indexed columns are never recommended: ID lookups go via the PK.
   Q("SELECT * FROM BIG WHERE ID = 7");
@@ -331,22 +330,22 @@ TEST_F(AdaptivePlannerTest, AutoCreateIndexesOnCommit) {
   EXPECT_NE(plan.find("index scan via (TAG)"), std::string::npos) << plan;
 }
 
-TEST_F(AdaptivePlannerTest, AdvisorObservesPrefixPatterns) {
+TEST_F(AdaptivePlannerTest, PrefixPatternsNeedNoAdvice) {
+  // Every VARCHAR column carries a radix index, so a LIKE-prefix takes a
+  // prefix scan and the advisor has nothing to recommend for it.
   Must("CREATE TABLE DOC (ID INTEGER PRIMARY KEY, PATH VARCHAR(60))");
   for (int i = 0; i < 20; ++i) {
     Must("INSERT INTO DOC VALUES (" + std::to_string(i) + ", '/data/f" +
          std::to_string(i) + "')");
   }
+  EXPECT_NE(Plan("SELECT * FROM DOC WHERE PATH LIKE '/data/f1%'")
+                .find("prefix scan via (PATH)"),
+            std::string::npos);
   Q("SELECT * FROM DOC WHERE PATH LIKE '/data/f1%'");
   Q("SELECT * FROM DOC WHERE PATH LIKE '/data/%'");
-  bool found = false;
   for (const auto& rec : db_->index_advisor().Recommendations(1)) {
-    if (rec.table == "DOC" && rec.column == "PATH" &&
-        rec.kind == stats::IndexRecommendation::Kind::kPrefix) {
-      found = true;
-    }
+    EXPECT_NE(rec.table, "DOC") << rec.column;
   }
-  EXPECT_TRUE(found);
 }
 
 }  // namespace

@@ -253,21 +253,19 @@ constexpr const char kSimulationDump[] =
 /// The planner (predicate pushdown, index access, hash joins, columnar
 /// filter/aggregate kernels, radix prefix scans, LIMIT short-circuit) is
 /// the optimised path; the legacy executor is the naive-but-obviously-
-/// correct oracle. Every query additionally runs against a columnar twin
-/// database (same DDL `STORE COLUMNAR`, same inserts), against a
-/// replica fed purely by WAL-shipped commit entries (never by direct
-/// DML), and against a 4-shard hash-partitioned coordinator (same DDL
-/// plus `PARTITION BY HASH(<pk>) PARTITIONS 4`, scatter/gather
-/// planning over sim links), so each check is six-way: {planned,
-/// legacy} x {row store, columnar} plus {replica replay} plus
-/// {sharded scatter/gather}. The DML phase runs UPDATE/DELETE/INSERT on
-/// the three executing engines, with the legacy SELECT over the
-/// pre-state as the oracle for which rows each statement touches.
+/// correct oracle. Every query additionally runs against a replica fed
+/// purely by WAL-shipped commit entries (never by direct DML), and
+/// against a 4-shard hash-partitioned coordinator (same DDL plus
+/// `PARTITION BY HASH(<pk>) PARTITIONS 4`, scatter/gather planning over
+/// sim links), so each check is four-way: planned, legacy, replica
+/// replay and sharded scatter/gather. The DML phase runs
+/// UPDATE/DELETE/INSERT on the two executing engines, with the legacy
+/// SELECT over the pre-state as the oracle for which rows each statement
+/// touches.
 class DifferentialFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
     db_ = std::make_unique<Database>("FUZZ");
-    columnar_db_ = std::make_unique<Database>("CFUZZ");
     replica_ = std::make_unique<repl::ReplicaNode>("r1");
     db_->set_commit_listener(
         [this](uint64_t epoch, const std::vector<WalRecord>& records) {
@@ -302,17 +300,12 @@ class DifferentialFuzzTest : public ::testing::Test {
     }
   }
 
-  /// Runs DDL/DML against the row-store database, its columnar twin
-  /// (CREATE TABLE gains the STORE COLUMNAR clause) and the 4-shard
+  /// Runs DDL/DML against the single-node database and the 4-shard
   /// coordinator (CREATE TABLE gains a PARTITION BY HASH clause on the
   /// table's primary key, so every row is hash-routed to one shard).
   void ExecBoth(const std::string& sql) {
     Result<QueryResult> r = db_->Execute(sql);
     ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-    std::string csql = sql;
-    if (sql.rfind("CREATE TABLE", 0) == 0) csql += " STORE COLUMNAR";
-    Result<QueryResult> cr = columnar_db_->Execute(csql);
-    ASSERT_TRUE(cr.ok()) << csql << " -> " << cr.status().ToString();
     std::string ssql = sql;
     if (sql.rfind("CREATE TABLE", 0) == 0) {
       size_t pk = sql.find("PRIMARY KEY (");
@@ -342,8 +335,8 @@ class DifferentialFuzzTest : public ::testing::Test {
     return out;
   }
 
-  /// Runs one generated query through planned and legacy executors on the
-  /// row-store database AND the columnar twin; all four runs must agree.
+  /// Runs one generated query through the planned and legacy executors,
+  /// the replica and the sharded coordinator; all four runs must agree.
   /// `ordered` asserts sequence equality (the query carries a total
   /// ORDER BY); otherwise the row multisets must match.
   void CheckEquivalent(const std::string& sql, bool ordered) {
@@ -353,7 +346,7 @@ class DifferentialFuzzTest : public ::testing::Test {
     ASSERT_EQ(stmt->kind, Statement::Kind::kSelect);
     // Catch the replica up to the primary's shipping log (no network —
     // the wire encode/decode path is still exercised), then include it
-    // as a fifth differential arm: replayed state must answer queries
+    // as a third differential arm: replayed state must answer queries
     // exactly like the state built by direct execution.
     std::vector<repl::CommitEntry> pending =
         log_.EntriesAfter(replica_->last_applied_lsn(), log_.size() + 1);
@@ -368,14 +361,13 @@ class DifferentialFuzzTest : public ::testing::Test {
       Result<QueryResult> result;
     };
     std::vector<Run> runs;
-    for (Database* database : {db_.get(), columnar_db_.get()}) {
-      TableLookup lookup = [database](const std::string& name) {
-        return database->GetTable(name);
+    {
+      TableLookup lookup = [this](const std::string& name) {
+        return db_->GetTable(name);
       };
-      bool row_store = database == db_.get();
-      runs.push_back({row_store ? "row/planned" : "columnar/planned",
+      runs.push_back({"planned",
                       ExecuteSelect(*stmt->select, lookup, nullptr, {true})});
-      runs.push_back({row_store ? "row/naive" : "columnar/naive",
+      runs.push_back({"naive",
                       ExecuteSelect(*stmt->select, lookup, nullptr, {false})});
     }
     {
@@ -386,12 +378,12 @@ class DifferentialFuzzTest : public ::testing::Test {
       runs.push_back({"replica/planned",
                       ExecuteSelect(*stmt->select, lookup, nullptr, {true})});
     }
-    // Sixth arm: the shard coordinator plans the same SELECT across four
+    // Fourth arm: the shard coordinator plans the same SELECT across four
     // hash partitions (pruning + scatter partial aggregation or
     // coordinator-side gather) and must still agree with the naive
     // single-node oracle.
     runs.push_back({"sharded/planned", shard_.Execute(sql)});
-    const Run& oracle = runs[1];  // row-store naive path
+    const Run& oracle = runs[1];  // the legacy (naive) path
     for (const Run& run : runs) {
       ASSERT_EQ(run.result.ok(), oracle.result.ok())
           << run.label << ": " << run.result.status().ToString()
@@ -409,7 +401,7 @@ class DifferentialFuzzTest : public ::testing::Test {
     }
   }
 
-  /// Both tables in primary-key order, from the row store's legacy path.
+  /// Both tables in primary-key order, from the single-node database.
   std::vector<std::string> Dump() {
     std::vector<std::string> out;
     for (const char* sql : {kAuthorDump, kSimulationDump}) {
@@ -423,17 +415,17 @@ class DifferentialFuzzTest : public ::testing::Test {
     return out;
   }
 
-  /// The dumps agree on all six arms.
+  /// The dumps agree on all four arms.
   void CheckDumps() {
     CheckEquivalent(kAuthorDump, /*ordered=*/true);
     CheckEquivalent(kSimulationDump, /*ordered=*/true);
   }
 
-  /// Runs one DML statement on the row store, its columnar twin and the
-  /// sharded coordinator. All three return the same status code; on
-  /// success each affects exactly the rows the legacy executor's SELECT
-  /// with the same WHERE returned from the pre-state; on failure nothing
-  /// changed. Then the dumps must agree six ways.
+  /// Runs one DML statement on the single-node database and the sharded
+  /// coordinator. Both return the same status code; on success each
+  /// affects exactly the rows the legacy executor's SELECT with the same
+  /// WHERE returned from the pre-state; on failure nothing changed. Then
+  /// the dumps must agree four ways.
   void CheckDml(const DmlCase& dml) {
     SCOPED_TRACE(dml.sql);
     std::vector<std::string> before = Dump();
@@ -454,16 +446,15 @@ class DifferentialFuzzTest : public ::testing::Test {
       Result<QueryResult> result;
     };
     std::vector<Arm> arms;
-    arms.push_back({"row", db_->Execute(dml.sql)});
-    arms.push_back({"columnar", columnar_db_->Execute(dml.sql)});
+    arms.push_back({"single", db_->Execute(dml.sql)});
     arms.push_back({"sharded", shard_.Execute(dml.sql)});
-    const Result<QueryResult>& row = arms[0].result;
+    const Result<QueryResult>& single = arms[0].result;
     for (const Arm& arm : arms) {
-      ASSERT_EQ(arm.result.status().code(), row.status().code())
+      ASSERT_EQ(arm.result.status().code(), single.status().code())
           << arm.label << ": " << arm.result.status().ToString()
-          << "\nrow: " << row.status().ToString();
+          << "\nsingle: " << single.status().ToString();
     }
-    if (row.ok()) {
+    if (single.ok()) {
       size_t want = dml.insert_rows;
       if (!dml.insert) {
         ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
@@ -473,7 +464,7 @@ class DifferentialFuzzTest : public ::testing::Test {
         EXPECT_EQ(arm.result->rows_affected, want) << arm.label;
       }
     } else {
-      EXPECT_EQ(Dump(), before) << row.status().ToString();
+      EXPECT_EQ(Dump(), before) << single.status().ToString();
     }
     CheckDumps();
   }
@@ -501,10 +492,11 @@ class DifferentialFuzzTest : public ::testing::Test {
     CheckDumps();
   }
 
-  /// BEGIN, a few DML statements, ROLLBACK — on the two single-node arms
+  /// BEGIN, a few DML statements, ROLLBACK — on the single-node database
   /// only (the sharded coordinator refuses explicit transactions). A
   /// failing statement already aborts the transaction, which ends the
-  /// block. Afterwards every arm is back at the pre-state.
+  /// block. Afterwards every arm is back at the pre-state, and the undone
+  /// DELETEs left no table scanning out of RowId order.
   void CheckRolledBackBlock(Random& rng) {
     std::vector<std::string> before = Dump();
     std::vector<std::string> sqls = {"BEGIN"};
@@ -514,17 +506,12 @@ class DifferentialFuzzTest : public ::testing::Test {
     sqls.push_back("ROLLBACK");
     for (const std::string& sql : sqls) {
       SCOPED_TRACE(sql);
-      Result<QueryResult> row = db_->Execute(sql);
-      Result<QueryResult> col = columnar_db_->Execute(sql);
-      ASSERT_EQ(col.status().code(), row.status().code())
-          << col.status().ToString() << "\nrow: " << row.status().ToString();
-      if (row.ok()) {
-        EXPECT_EQ(col->rows_affected, row->rows_affected);
-      } else {
-        break;
-      }
+      if (!db_->Execute(sql).ok()) break;
     }
     EXPECT_EQ(Dump(), before);
+    for (const char* table : {"AUTHOR", "SIMULATION"}) {
+      EXPECT_TRUE((*db_->GetTable(table))->column_store().ordered()) << table;
+    }
     CheckDumps();
   }
 
@@ -670,7 +657,6 @@ class DifferentialFuzzTest : public ::testing::Test {
   }
 
   std::unique_ptr<Database> db_;
-  std::unique_ptr<Database> columnar_db_;
   repl::ReplicationLog log_;
   std::unique_ptr<repl::ReplicaNode> replica_;
   sim::Network shard_net_ = MakeShardNet();
@@ -719,7 +705,7 @@ TEST_F(DifferentialFuzzTest, NearInt64MaxAggregates) {
   // SUM/AVG accumulation near the INT64 boundary: the row executor, the
   // planner fast path and the columnar aggregation kernel must widen (or
   // saturate) identically, so a sum that would wrap in 64 bits renders
-  // the same on all four paths. Seeded values cluster at +/-INT64_MAX so
+  // the same on all four arms. Seeded values cluster at +/-INT64_MAX so
   // two-element partial sums already overflow, and WHERE clauses compare
   // V with the seeded boundary values themselves.
   ExecBoth(
@@ -773,6 +759,31 @@ TEST_F(DifferentialFuzzTest, NearInt64MaxAggregates) {
     };
     sql += kWheres[rng.Uniform(8)];
     if (grouped) sql += " GROUP BY G";
+    CheckEquivalent(sql, /*ordered=*/false);
+    if (HasFatalFailure() || HasNonfatalFailure()) return;
+  }
+  // Equi-joins on the same boundary values. Each BIGKEY key shares its
+  // double (and so its index and hash key string) with a distinct EXTREME
+  // value: INT64_MAX with INT64_MAX - 1, 2^62 + 1 with 2^62, 2^53 + 1 with
+  // 2^53. A bucket or index hit is not equality; every arm must match
+  // only exactly equal integers, as the legacy executor's `=` does.
+  ExecBoth(
+      "CREATE TABLE BIGKEY ("
+      " K INTEGER NOT NULL,"
+      " NOTE VARCHAR(8),"
+      " PRIMARY KEY (K))");
+  ExecBoth("INSERT INTO EXTREME VALUES (41, 0, 9007199254740992)");
+  for (const char* k : {"9223372036854775807", "4611686018427387905",
+                        "9007199254740993", "-9223372036854775807"}) {
+    ExecBoth(std::string("INSERT INTO BIGKEY VALUES (") + k + ", 'k')");
+  }
+  for (const char* sql : {
+           "SELECT E.ID, B.K FROM EXTREME E, BIGKEY B WHERE E.V = B.K",
+           "SELECT E.ID, B.K FROM BIGKEY B, EXTREME E WHERE B.K = E.V",
+           "SELECT E.ID, B.K FROM EXTREME E JOIN BIGKEY B ON B.K = E.V"
+           " WHERE E.V > 0",
+           "SELECT E.ID, F.ID FROM EXTREME E, EXTREME F WHERE E.V = F.V",
+       }) {
     CheckEquivalent(sql, /*ordered=*/false);
     if (HasFatalFailure() || HasNonfatalFailure()) return;
   }

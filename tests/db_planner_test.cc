@@ -289,10 +289,11 @@ TEST_F(PlannerTest, LimitShortCircuitReturnsCorrectRows) {
 
 // --- UPDATE/DELETE target selection (SelectDmlTargets) ---
 
-/// The same catalogue as a row store and as a columnar table (the bool
-/// parameter): RESULT has a composite primary key and an FK secondary
-/// index on SIM_KEY; the columnar twin adds radix indexes on its VARCHAR
-/// columns. Both take the filter kernel.
+/// RESULT has a composite primary key, an FK secondary index on SIM_KEY
+/// and radix indexes on its VARCHAR columns. The bool parameter is whether
+/// the DDL carries `STORE COLUMNAR`: every table is columnar, so the
+/// clause is a no-op and both instances must behave identically (they
+/// keep the instance names of the two layouts the clause once chose).
 class DmlTargetTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
@@ -380,12 +381,9 @@ TEST_P(DmlTargetTest, ColumnarPrefixAndRangeUseRadixAndKernel) {
   ScanPlan::Access prefix = Targets("MEASUREMENT LIKE 'p%'", &prefix_kernel);
   ScanPlan::Access range =
       Targets("SIZE_MB > 30 AND SIZE_MB <= 60", &range_kernel);
-  // Only the columnar twin has a radix index for the prefix; on the row
-  // store the filter kernel runs it. Range and IS NULL take the kernel on
-  // both layouts.
-  EXPECT_EQ(prefix, GetParam() ? ScanPlan::Access::kPrefixScan
-                               : ScanPlan::Access::kSeqScan);
-  EXPECT_EQ(prefix_kernel, !GetParam());
+  // The radix index serves the prefix; range and IS NULL take the kernel.
+  EXPECT_EQ(prefix, ScanPlan::Access::kPrefixScan);
+  EXPECT_FALSE(prefix_kernel);
   EXPECT_EQ(range, ScanPlan::Access::kSeqScan);
   EXPECT_TRUE(range_kernel);
   EXPECT_EQ(Targets("SIZE_MB IS NULL", &null_kernel),

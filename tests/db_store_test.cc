@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/io.h"
+#include "common/random.h"
 #include "common/string_util.h"
 #include "db/database.h"
 #include "db/executor.h"
@@ -89,6 +95,54 @@ TEST(RadixIndexTest, SplitEdgeKeepsBothValues) {
   EXPECT_EQ(idx.PrefixRowIds("stre"), (std::vector<uint64_t>{1}));
   EXPECT_EQ(idx.PrefixValues("str", 0),
             (std::vector<std::string>{"str", "stream", "strong"}));
+}
+
+TEST(RadixIndexTest, StatsCountersMatchNodeWalk) {
+  store::RadixIndex idx;
+  auto check = [&](const char* step) {
+    store::RadixIndex::Stats counted = idx.GetStats();
+    store::RadixIndex::Stats walked = idx.WalkStats();
+    EXPECT_EQ(counted.nodes, walked.nodes) << step;
+    EXPECT_EQ(counted.bytes, walked.bytes) << step;
+    EXPECT_EQ(counted.entries, walked.entries) << step;
+  };
+  check("empty");
+  idx.Insert("carbon", 1);
+  idx.Insert("carbonate", 2);  // extends a leaf
+  idx.Insert("calcium", 3);    // splits "carbon" at "ca"
+  idx.Insert("car", 4);        // splits "rbon" at "r"
+  idx.Insert("car", 5);
+  check("inserts and splits");
+  idx.Remove("car", 4);
+  idx.Remove("car", 5);  // "car" node empties: re-merges with "bon"
+  check("re-merge");
+  idx.Remove("calcium", 3);  // leaf pruned, "ca" merges with its child
+  idx.Remove("nope", 9);     // absent: no change
+  check("prune");
+  // Random churn over a small key space exercises every path repeatedly.
+  Random rng(7);
+  std::vector<std::pair<std::string, uint64_t>> live;
+  for (int i = 0; i < 3000; ++i) {
+    if (!live.empty() && rng.OneIn(2)) {
+      size_t at = rng.Uniform(live.size());
+      idx.Remove(live[at].first, live[at].second);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+    } else {
+      std::string key = "k";
+      for (uint64_t n = rng.Uniform(4); n > 0; --n) {
+        key += static_cast<char>('a' + rng.Uniform(3));
+      }
+      idx.Insert(key, static_cast<uint64_t>(i));
+      live.emplace_back(key, static_cast<uint64_t>(i));
+    }
+  }
+  check("churn");
+  for (const auto& [key, id] : live) idx.Remove(key, id);
+  idx.Remove("carbon", 1);
+  idx.Remove("carbonate", 2);
+  check("drained");
+  EXPECT_EQ(idx.GetStats().nodes, 1u);
+  EXPECT_EQ(idx.GetStats().entries, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -234,6 +288,107 @@ TEST(ColumnStoreTest, AggregateScanZeroRowsAndGroups) {
   EXPECT_EQ((*r)[1].aggregates[0].AsInt(), 1);
 }
 
+TEST(ColumnStoreTest, CompactRestoresRowIdOrder) {
+  TableDef def = CatalogDef();
+  store::ColumnStore cs(def);
+  for (RowId id : {1, 2, 3, 4}) {
+    ASSERT_TRUE(cs.Append(id, CatalogRow(static_cast<int64_t>(id), "n", 1))
+                    .ok());
+  }
+  ASSERT_TRUE(cs.Delete(2).ok());
+  // The undo of a DELETE re-appends below the newest RowId.
+  ASSERT_TRUE(cs.Append(2, CatalogRow(2, "back", 2)).ok());
+  EXPECT_FALSE(cs.ordered());
+  EXPECT_EQ(cs.FilterScan({}), (std::vector<RowId>{1, 2, 3, 4}));
+  cs.Compact();
+  EXPECT_TRUE(cs.ordered());
+  EXPECT_EQ(cs.Slots(), 4u);
+  std::vector<std::string> names;
+  cs.ForEachRow([&](RowId, const Row& row) {
+    names.push_back(row[1].AsString());
+  });
+  EXPECT_EQ(names, (std::vector<std::string>{"n", "back", "n", "n"}));
+  std::vector<std::string> mags;
+  cs.ForEachValue(2, [&](const Value& v) {
+    mags.push_back(v.ToDisplayString());
+    return mags.size() < 3;  // stops early
+  });
+  EXPECT_EQ(mags, (std::vector<std::string>{"1", "2", "1"}));
+}
+
+/// A table shaped like the churn probe: a key, a counter, a name and a
+/// 300-byte CLOB.
+TableDef ChurnDef() {
+  TableDef def;
+  def.name = "CHURN";
+  def.columns = {MakeColumn("ID", DataType::kInteger),
+                 MakeColumn("N", DataType::kInteger),
+                 MakeColumn("NAME", DataType::kVarchar),
+                 MakeColumn("NOTE", DataType::kClob)};
+  def.primary_key = {"ID"};
+  return def;
+}
+
+Row ChurnRow(int64_t id, int64_t n, const std::string& name) {
+  return {Value::Integer(id), Value::Integer(n), Value::Varchar(name),
+          Value::Clob(std::string(300, 'x'))};
+}
+
+TEST(ColumnStoreTest, UpdateChurnKeepsBytesBounded) {
+  Table table(ChurnDef());
+  Result<RowId> id = table.Insert(ChurnRow(1, 0, "name"));
+  ASSERT_TRUE(id.ok());
+  const size_t initial = table.GetStorageStats().columnar_bytes;
+  // UPDATE ... SET N = N + 1: no text cell changes, so nothing is appended.
+  for (int64_t n = 1; n <= 100000; ++n) {
+    ASSERT_TRUE(table.Update(*id, ChurnRow(1, n, "name")).ok());
+  }
+  EXPECT_EQ(table.GetStorageStats().columnar_bytes, initial);
+  // A changing name leaves garbage; compaction keeps it within 2x.
+  size_t peak = 0;
+  for (int64_t n = 1; n <= 100000; ++n) {
+    ASSERT_TRUE(
+        table.Update(*id, ChurnRow(1, n, "name" + std::to_string(n))).ok());
+    peak = std::max(peak, table.GetStorageStats().columnar_bytes);
+  }
+  EXPECT_LE(peak, 2 * initial);
+  EXPECT_EQ(table.column_store().Slots(), 1u);
+  Result<Row> row = table.Get(*id);
+  ASSERT_TRUE(row.ok());
+  EXPECT_EQ((*row)[2].AsString(), "name100000");
+  EXPECT_EQ((*row)[3].AsString(), std::string(300, 'x'));
+}
+
+TEST(ColumnStoreTest, DeleteInsertChurnKeepsSlotsBounded) {
+  // Retire the oldest row, ingest a new one: 1,000 live rows throughout.
+  Table table(ChurnDef());
+  std::vector<RowId> ids;
+  for (int64_t i = 0; i < 1000; ++i) {
+    Result<RowId> id = table.Insert(ChurnRow(i, 0, "f" + std::to_string(i)));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  const size_t initial = table.GetStorageStats().columnar_bytes;
+  size_t peak_bytes = 0;
+  size_t peak_slots = 0;
+  for (int64_t i = 1000; i < 101000; ++i) {
+    ASSERT_TRUE(table.Delete(ids[static_cast<size_t>(i - 1000)]).ok());
+    Result<RowId> id = table.Insert(ChurnRow(i, 0, "f" + std::to_string(i)));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+    peak_bytes = std::max(peak_bytes, table.GetStorageStats().columnar_bytes);
+    peak_slots = std::max(peak_slots, table.column_store().Slots());
+  }
+  EXPECT_EQ(table.RowCount(), 1000u);
+  EXPECT_LE(peak_slots, 2001u);
+  EXPECT_LE(peak_bytes, 2 * initial);
+  // Scans still visit the survivors in RowId order.
+  std::vector<RowId> scanned = table.FilterScan({});
+  EXPECT_EQ(scanned, std::vector<RowId>(ids.end() - 1000, ids.end()));
+  // f100990..f100999 are live; the retired f10099 is gone.
+  EXPECT_EQ(table.RadixPrefixRowIds("NAME", "f10099").size(), 10u);
+}
+
 // ---------------------------------------------------------------------------
 // Bulk file format
 // ---------------------------------------------------------------------------
@@ -289,6 +444,7 @@ class CopyTest : public ::testing::Test {
     Exec(
         "CREATE TABLE STAR (ID INTEGER PRIMARY KEY, NAME VARCHAR(64), "
         "MAG DOUBLE) STORE COLUMNAR");
+    // The same table without the (no-op) layout clause.
     Exec(
         "CREATE TABLE STAR_ROW (ID INTEGER PRIMARY KEY, NAME VARCHAR(64), "
         "MAG DOUBLE)");
@@ -336,17 +492,20 @@ TEST_F(CopyTest, BulkIngestIntoColumnarAndRowTables) {
   EXPECT_EQ(Count("STAR"), 2500);
   EXPECT_EQ(db_->stats().bulk_chunks, 3u);  // 1000 + 1000 + 500
 
-  // The same file loads into the row-store twin (format is storage
-  // agnostic; the header matches both defs modulo the table name).
+  // The same file loads into the twin declared without `STORE COLUMNAR`
+  // (the header matches both defs modulo the table name).
   QueryResult r2 = Exec("COPY STAR_ROW FROM '" + path + "'");
   EXPECT_EQ(r2.rows_affected, 2500u);
   EXPECT_EQ(Count("STAR_ROW"), 2500);
   EXPECT_EQ(db_->stats().bulk_chunks, 6u);
 
   // Loaded data is queryable through every path, including the radix
-  // index built during ingest.
-  QueryResult q = Exec("SELECT NAME FROM STAR WHERE NAME LIKE 'S249%'");
-  EXPECT_EQ(q.rows.size(), 11u);  // S249 + S2490..S2499
+  // index built during ingest, on both tables.
+  for (const char* table : {"STAR", "STAR_ROW"}) {
+    QueryResult q = Exec(std::string("SELECT NAME FROM ") + table +
+                         " WHERE NAME LIKE 'S249%'");
+    EXPECT_EQ(q.rows.size(), 11u) << table;  // S249 + S2490..S2499
+  }
 }
 
 TEST_F(CopyTest, HeaderMismatchRejected) {
@@ -422,7 +581,9 @@ TEST_F(CopyTest, NullsAndCoercionMatchInsert) {
 }
 
 // ---------------------------------------------------------------------------
-// Columnar tables behave like row tables through the whole SQL surface
+// The planner's columnar kernels answer like the legacy executor through
+// the whole SQL surface. OBJ_ROW is OBJ declared without the (no-op)
+// `STORE COLUMNAR` clause; it must answer identically too.
 // ---------------------------------------------------------------------------
 
 class ColumnarParityTest : public ::testing::Test {
@@ -463,21 +624,33 @@ class ColumnarParityTest : public ::testing::Test {
     return r.ok() ? *r : QueryResult{};
   }
 
-  /// Runs the same query shape against the columnar table and its
-  /// row-store twin and expects identical result tables.
-  void ExpectSameAsRowStore(const std::string& query_tail) {
+  /// Runs the same query shape through the planner on OBJ, and through
+  /// the legacy executor on OBJ and on OBJ_ROW, and expects identical
+  /// result tables.
+  void ExpectSameAsLegacy(const std::string& query_tail) {
     QueryResult a = Exec("SELECT " + ReplaceAll(query_tail, "$T", "OBJ"));
-    QueryResult b =
-        Exec("SELECT " + ReplaceAll(query_tail, "$T", "OBJ_ROW"));
-    EXPECT_EQ(a.column_names, b.column_names) << query_tail;
-    EXPECT_EQ(a.column_types, b.column_types) << query_tail;
-    ASSERT_EQ(a.rows.size(), b.rows.size()) << query_tail;
-    for (size_t i = 0; i < a.rows.size(); ++i) {
-      ASSERT_EQ(a.rows[i].size(), b.rows[i].size());
-      for (size_t c = 0; c < a.rows[i].size(); ++c) {
-        EXPECT_EQ(a.rows[i][c].ToDisplayString(),
-                  b.rows[i][c].ToDisplayString())
-            << query_tail << " row " << i << " col " << c;
+    for (const char* table : {"OBJ", "OBJ_ROW"}) {
+      std::string sql = "SELECT " + ReplaceAll(query_tail, "$T", table);
+      Result<Statement> stmt = ParseSql(sql);
+      ASSERT_TRUE(stmt.ok()) << sql;
+      TableLookup lookup = [this](const std::string& name) {
+        return db_->GetTable(name);
+      };
+      ExecuteOptions legacy;
+      legacy.use_planner = false;
+      Result<QueryResult> b =
+          ExecuteSelect(*stmt->select, lookup, nullptr, legacy);
+      ASSERT_TRUE(b.ok()) << sql << " -> " << b.status().ToString();
+      EXPECT_EQ(a.column_names, b->column_names) << sql;
+      EXPECT_EQ(a.column_types, b->column_types) << sql;
+      ASSERT_EQ(a.rows.size(), b->rows.size()) << sql;
+      for (size_t i = 0; i < a.rows.size(); ++i) {
+        ASSERT_EQ(a.rows[i].size(), b->rows[i].size());
+        for (size_t c = 0; c < a.rows[i].size(); ++c) {
+          EXPECT_EQ(a.rows[i][c].ToDisplayString(),
+                    b->rows[i][c].ToDisplayString())
+              << sql << " row " << i << " col " << c;
+        }
       }
     }
   }
@@ -486,22 +659,22 @@ class ColumnarParityTest : public ::testing::Test {
 };
 
 TEST_F(ColumnarParityTest, ScansFiltersAndDml) {
-  ExpectSameAsRowStore("* FROM $T");
-  ExpectSameAsRowStore("* FROM $T WHERE MAG > 3.0");
-  ExpectSameAsRowStore("NAME FROM $T WHERE NAME LIKE 'NGC%'");
-  ExpectSameAsRowStore("NAME FROM $T WHERE NAME LIKE '%7%'");
-  ExpectSameAsRowStore("* FROM $T WHERE KIND IS NULL");
-  ExpectSameAsRowStore("* FROM $T WHERE ID = 4");
+  ExpectSameAsLegacy("* FROM $T");
+  ExpectSameAsLegacy("* FROM $T WHERE MAG > 3.0");
+  ExpectSameAsLegacy("NAME FROM $T WHERE NAME LIKE 'NGC%'");
+  ExpectSameAsLegacy("NAME FROM $T WHERE NAME LIKE '%7%'");
+  ExpectSameAsLegacy("* FROM $T WHERE KIND IS NULL");
+  ExpectSameAsLegacy("* FROM $T WHERE ID = 4");
 
   for (const char* t : {"OBJ", "OBJ_ROW"}) {
     Exec(std::string("UPDATE ") + t +
          " SET NAME = 'Andromeda', MAG = 3.44 WHERE ID = 2");
     Exec(std::string("DELETE FROM ") + t + " WHERE ID = 6");
   }
-  ExpectSameAsRowStore("* FROM $T");
-  ExpectSameAsRowStore("NAME FROM $T WHERE NAME LIKE 'Andro%'");
+  ExpectSameAsLegacy("* FROM $T");
+  ExpectSameAsLegacy("NAME FROM $T WHERE NAME LIKE 'Andro%'");
   // The radix index dropped the deleted/renamed entries.
-  ExpectSameAsRowStore("NAME FROM $T WHERE NAME LIKE 'NGC%'");
+  ExpectSameAsLegacy("NAME FROM $T WHERE NAME LIKE 'NGC%'");
 }
 
 TEST_F(ColumnarParityTest, AggregatesMatchRowPath) {
@@ -520,14 +693,15 @@ TEST_F(ColumnarParityTest, AggregatesMatchRowPath) {
            "SUM(MAG) FROM $T WHERE MAG > 1000",  // empty: NULL
            "KIND, COUNT(*) FROM $T WHERE MAG > 1000 GROUP BY KIND",
        }) {
-    ExpectSameAsRowStore(tail);
+    ExpectSameAsLegacy(tail);
   }
 }
 
 TEST_F(ColumnarParityTest, IntegerFiltersCompareExactlyPast2To53) {
   // 2^53 + 1 and INT64_MAX - 1 have no double of their own: a filter that
-  // compared through double would tie them with a neighbour. Both layouts
-  // must answer as Value::Compare does, exactly.
+  // compared through double would tie them with a neighbour. Both tables
+  // (with and without the layout clause) must answer as Value::Compare
+  // does, exactly.
   const char* values[] = {"9007199254740992", "9007199254740993",
                           "9223372036854775806", "9223372036854775807",
                           "-9223372036854775807"};
@@ -565,8 +739,8 @@ TEST_F(ColumnarParityTest, RollbackRestoresColumnarStateAndIndexes) {
   Exec("DELETE FROM OBJ WHERE ID = 2");
   Exec("INSERT INTO OBJ VALUES (8, 'NGC9999', 'galaxy', 9.9, 0)");
   Exec("ROLLBACK");
-  ExpectSameAsRowStore("* FROM $T");
-  ExpectSameAsRowStore("NAME FROM $T WHERE NAME LIKE 'NGC%'");
+  ExpectSameAsLegacy("* FROM $T");
+  ExpectSameAsLegacy("NAME FROM $T WHERE NAME LIKE 'NGC%'");
   QueryResult q = Exec("SELECT NAME FROM OBJ WHERE NAME LIKE 'renamed%'");
   EXPECT_TRUE(q.rows.empty());
 }
@@ -589,8 +763,8 @@ class StorePlannerTest : public ColumnarParityTest {
 };
 
 TEST_F(StorePlannerTest, ColumnarFilterKernelInExplain) {
-  // The kernel belongs to the WHERE clause, not the layout: both twins
-  // take it, and the access path still reads "seq scan".
+  // The kernel belongs to the WHERE clause: both tables take it, and the
+  // access path still reads "seq scan".
   for (const char* table : {"OBJ", "OBJ_ROW"}) {
     SCOPED_TRACE(table);
     std::string plan =
@@ -612,9 +786,11 @@ TEST_F(StorePlannerTest, PrefixScanInExplain) {
   // Leading wildcard: nothing to narrow, stays a seq scan.
   plan = Plan("SELECT NAME FROM OBJ WHERE NAME LIKE '%NGC'");
   EXPECT_EQ(plan.find("prefix scan"), std::string::npos) << plan;
-  // Row store has no radix index.
+  // Every VARCHAR column has a radix index, with or without the clause.
   plan = Plan("SELECT NAME FROM OBJ_ROW WHERE NAME LIKE 'NGC%'");
-  EXPECT_EQ(plan.find("prefix scan"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("prefix scan via (NAME), prefix 'NGC'"),
+            std::string::npos)
+      << plan;
   // Escaped wildcard resolves into the literal prefix.
   plan = Plan("SELECT NAME FROM OBJ WHERE NAME LIKE 'a\\%b%'");
   EXPECT_NE(plan.find("prefix 'a%b'"), std::string::npos) << plan;
@@ -623,9 +799,10 @@ TEST_F(StorePlannerTest, PrefixScanInExplain) {
 TEST_F(StorePlannerTest, AggregateFastPathInExplain) {
   std::string plan = Plan("SELECT KIND, COUNT(*) FROM OBJ GROUP BY KIND");
   EXPECT_NE(plan.find("[columnar fast path]"), std::string::npos) << plan;
+  // The fast path depends on the query's shape only.
   plan = Plan("SELECT KIND, COUNT(*) FROM OBJ_ROW GROUP BY KIND");
-  EXPECT_NE(plan.find("[row path]"), std::string::npos) << plan;
-  // HAVING keeps the row path even on columnar tables.
+  EXPECT_NE(plan.find("[columnar fast path]"), std::string::npos) << plan;
+  // HAVING keeps the row path.
   plan = Plan(
       "SELECT KIND, COUNT(*) FROM OBJ GROUP BY KIND HAVING COUNT(*) > 1");
   EXPECT_NE(plan.find("[row path]"), std::string::npos) << plan;
@@ -789,10 +966,293 @@ TEST_F(SecondaryIndexTest, PlannedIndexScanAgreesAfterChurn) {
 }
 
 // ---------------------------------------------------------------------------
+// Rolled-back DELETEs leave the store in RowId order
+// ---------------------------------------------------------------------------
+
+TEST(RollbackOrderTest, RolledBackDeletesCompactBackIntoOrder) {
+  Database db("ORDER");
+  ASSERT_TRUE(db.Execute("CREATE TABLE P (ID INTEGER PRIMARY KEY, "
+                         "NAME VARCHAR(16))")
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE C (ID INTEGER PRIMARY KEY, "
+                         "PID INTEGER, FOREIGN KEY (PID) REFERENCES P (ID))")
+                  .ok());
+  for (int i = 1; i <= 200; ++i) {
+    ASSERT_TRUE(db.Execute("INSERT INTO P VALUES (" + std::to_string(i) +
+                           ", 'p" + std::to_string(i) + "')")
+                    .ok());
+  }
+  ASSERT_TRUE(db.Execute("INSERT INTO C VALUES (1, 150)").ok());
+  const Table* p = *db.GetTable("P");
+  const std::vector<RowId> all = p->FilterScan({});
+
+  // An explicit ROLLBACK of a multi-row DELETE.
+  ASSERT_TRUE(db.Execute("BEGIN").ok());
+  ASSERT_TRUE(db.Execute("DELETE FROM P WHERE ID > 100 AND ID < 140").ok());
+  ASSERT_TRUE(db.Execute("ROLLBACK").ok());
+  EXPECT_TRUE(p->column_store().ordered());
+  EXPECT_EQ(p->FilterScan({}), all);
+
+  // An autocommit DELETE whose later row RESTRICT refuses: the statement
+  // rollback re-inserts the rows it had already deleted.
+  Result<QueryResult> refused =
+      db.Execute("DELETE FROM P WHERE ID > 140 AND ID < 160");
+  ASSERT_FALSE(refused.ok());
+  EXPECT_TRUE(refused.status().IsConstraintViolation());
+  EXPECT_TRUE(p->column_store().ordered());
+  EXPECT_EQ(p->FilterScan({}), all);
+  EXPECT_EQ(p->column_store().Slots(), all.size());
+  Result<QueryResult> names =
+      db.Execute("SELECT NAME FROM P WHERE NAME LIKE 'p14%'");
+  ASSERT_TRUE(names.ok());
+  EXPECT_EQ(names->rows.size(), 11u);  // p14, p140..p149
+}
+
+// ---------------------------------------------------------------------------
+// UPDATE moves only the index entries whose cells change
+// ---------------------------------------------------------------------------
+
+class ReindexTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = std::make_unique<Database>("REINDEX");
+    Exec("CREATE TABLE A (AK INTEGER PRIMARY KEY, NAME VARCHAR(20))");
+    Exec("CREATE TABLE T (ID INTEGER PRIMARY KEY, CODE VARCHAR(10), "
+         "AK INTEGER, TAG VARCHAR(10), V DOUBLE, UNIQUE (CODE), "
+         "FOREIGN KEY (AK) REFERENCES A (AK))");
+    for (int a = 1; a <= 3; ++a) {
+      Exec("INSERT INTO A VALUES (" + std::to_string(a) + ", 'a')");
+    }
+    for (int i = 1; i <= 12; ++i) {
+      std::string ak = i % 4 == 0 ? "NULL" : std::to_string(1 + i % 3);
+      std::string tag = i % 5 == 0 ? "NULL" : "'t" + std::to_string(i % 2) +
+                                                  "'";
+      Exec("INSERT INTO T VALUES (" + std::to_string(i) + ", 'c" +
+           std::to_string(i) + "', " + ak + ", " + tag + ", " +
+           std::to_string(i * 0.5) + ")");
+    }
+  }
+
+  void Exec(const std::string& sql) {
+    Result<QueryResult> r = db_->Execute(sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  }
+
+  /// Every index of T answers like a scan of the stored rows: the PK and
+  /// UNIQUE lookups, the FK secondary index, and both radix indexes.
+  void ExpectIndexesMatchRows() {
+    const Table* t = *db_->GetTable("T");
+    std::map<std::string, std::vector<RowId>> by_ak;
+    std::map<std::string, std::vector<RowId>> by_tag;
+    std::vector<RowId> with_code;
+    t->ForEachRow([&](RowId id, const Row& row) {
+      Result<RowId> pk = t->FindUnique({"ID"}, {row[0]});
+      EXPECT_TRUE(pk.ok() && *pk == id) << "ID " << row[0].AsInt();
+      if (!row[1].is_null()) {
+        Result<RowId> code = t->FindUnique({"CODE"}, {row[1]});
+        EXPECT_TRUE(code.ok() && *code == id) << row[1].AsString();
+        with_code.push_back(id);
+      }
+      if (!row[2].is_null()) by_ak[row[2].ToDisplayString()].push_back(id);
+      if (!row[3].is_null()) by_tag[row[3].AsString()].push_back(id);
+    });
+    for (int a = 0; a <= 4; ++a) {
+      Result<std::vector<RowId>> ids =
+          t->FindByIndex({"AK"}, {Value::Integer(a)});
+      ASSERT_TRUE(ids.ok());
+      EXPECT_EQ(*ids, by_ak[std::to_string(a)]) << "AK " << a;
+    }
+    for (const char* tag : {"t0", "t1", "t2"}) {
+      EXPECT_EQ(t->RadixPrefixRowIds("TAG", tag), by_tag[tag]) << tag;
+    }
+    EXPECT_EQ(t->RadixPrefixRowIds("CODE", "c"), with_code);
+    std::vector<std::string> stale = t->RadixPrefixValues("CODE", "", 0);
+    EXPECT_EQ(stale.size(), with_code.size());
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(ReindexTest, EveryIndexAgreesAfterNoneSomeAllChange) {
+  ExpectIndexesMatchRows();
+  // No indexed cell changes.
+  Exec("UPDATE T SET V = V + 1");
+  Exec("UPDATE T SET TAG = TAG, AK = AK WHERE ID < 6");
+  ExpectIndexesMatchRows();
+  // Some: the FK and one radix column.
+  Exec("UPDATE T SET AK = 3, TAG = 't2' WHERE ID = 2");
+  ExpectIndexesMatchRows();
+  // All indexed cells of one row, the key included.
+  Exec("UPDATE T SET ID = 99, CODE = 'c99', AK = 1, TAG = 't0' "
+       "WHERE ID = 7");
+  ExpectIndexesMatchRows();
+  // NULL transitions, both ways, on the FK, the UNIQUE and a radix column.
+  Exec("UPDATE T SET AK = NULL, CODE = NULL, TAG = NULL WHERE ID = 3");
+  Exec("UPDATE T SET AK = 2, TAG = 't1' WHERE ID = 4");
+  Exec("UPDATE T SET TAG = 't0' WHERE ID = 5");
+  ExpectIndexesMatchRows();
+  Exec("UPDATE T SET CODE = 'c3' WHERE ID = 3");
+  ExpectIndexesMatchRows();
+  // A refused update (duplicate UNIQUE) and a rollback move nothing.
+  EXPECT_FALSE(db_->Execute("UPDATE T SET CODE = 'c1' WHERE ID = 2").ok());
+  Exec("BEGIN");
+  Exec("UPDATE T SET CODE = 'cx', TAG = 'tx', AK = NULL WHERE ID = 9");
+  Exec("UPDATE T SET ID = 100, TAG = NULL WHERE ID = 10");
+  Exec("ROLLBACK");
+  ExpectIndexesMatchRows();
+}
+
+// ---------------------------------------------------------------------------
+// Snapshots and WALs written while `STORE COLUMNAR` chose the layout
+// ---------------------------------------------------------------------------
+
+/// Rewrites a V4 snapshot image as version `version` (1-4), appending
+/// ` STORE COLUMNAR` to the DDL of `columnar_table`, as the writer did
+/// when the clause chose the layout. V1 carries no counters, V2 seven,
+/// V3 and V4 eight; only V4 carries the planner-stats blocks.
+Result<std::string> TranscodeSnapshot(const std::string& v4, int version,
+                                      const std::string& columnar_table) {
+  constexpr size_t kMagic = 10;
+  Decoder dec(std::string_view(v4).substr(kMagic, v4.size() - kMagic - 4));
+  std::string body;
+  for (int i = 0; i < 8; ++i) {
+    EASIA_ASSIGN_OR_RETURN(uint64_t counter, dec.GetU64());
+    if (version >= 3 || (version == 2 && i < 7)) PutU64(&body, counter);
+  }
+  EASIA_ASSIGN_OR_RETURN(uint32_t tables, dec.GetU32());
+  PutU32(&body, tables);
+  for (uint32_t t = 0; t < tables; ++t) {
+    EASIA_ASSIGN_OR_RETURN(std::string ddl, dec.GetLengthPrefixed());
+    if (ddl.rfind("CREATE TABLE " + columnar_table + " ", 0) == 0) {
+      ddl += " STORE COLUMNAR";
+    }
+    PutLengthPrefixed(&body, ddl);
+    EASIA_ASSIGN_OR_RETURN(uint64_t next_row_id, dec.GetU64());
+    PutU64(&body, next_row_id);
+    EASIA_ASSIGN_OR_RETURN(uint32_t rows, dec.GetU32());
+    PutU32(&body, rows);
+    for (uint32_t r = 0; r < rows; ++r) {
+      EASIA_ASSIGN_OR_RETURN(uint64_t id, dec.GetU64());
+      PutU64(&body, id);
+      EASIA_ASSIGN_OR_RETURN(Row row, DecodeRow(&dec));
+      EncodeRow(&body, row);
+    }
+    EASIA_ASSIGN_OR_RETURN(std::string stats, dec.GetLengthPrefixed());
+    if (version == 4) PutLengthPrefixed(&body, stats);
+  }
+  std::string out = "EASIASNAP" + std::to_string(version) + body;
+  PutU32(&out, Crc32(body));
+  return out;
+}
+
+/// Every table's DDL and live rows with their RowIds.
+std::vector<std::string> DumpTables(const Database& db) {
+  std::vector<std::string> out;
+  for (const std::string& name : db.catalog().TableNames()) {
+    const Table* table = *db.GetTable(name);
+    out.push_back(table->def().ToSql());
+    table->ForEachRow([&](RowId id, const Row& row) {
+      std::string line = name + " " + std::to_string(id);
+      for (const Value& v : row) line += " | " + v.ToDisplayString();
+      out.push_back(line);
+    });
+  }
+  return out;
+}
+
+/// A catalogue with a clause-declared table, churned so RowIds have gaps.
+void BuildLayoutCatalogue(Database* db, const std::string& layout) {
+  for (const std::string& sql : {
+           "CREATE TABLE OBJ (ID INTEGER PRIMARY KEY, NAME VARCHAR(16), "
+           "MAG DOUBLE, NOTE CLOB)" +
+               layout,
+           std::string("CREATE TABLE TAG (ID INTEGER PRIMARY KEY, "
+                       "OBJ_ID INTEGER, T VARCHAR(8), "
+                       "FOREIGN KEY (OBJ_ID) REFERENCES OBJ (ID))"),
+       }) {
+    ASSERT_TRUE(db->Execute(sql).ok()) << sql;
+  }
+  for (int i = 1; i <= 30; ++i) {
+    std::string n = std::to_string(i);
+    ASSERT_TRUE(db->Execute("INSERT INTO OBJ VALUES (" + n + ", 'NGC" + n +
+                            "', " + n + ".5, " +
+                            (i % 4 == 0 ? "NULL" : "'note " + n + "'") + ")")
+                    .ok());
+    ASSERT_TRUE(db->Execute("INSERT INTO TAG VALUES (" + n + ", " + n +
+                            ", 't" + std::to_string(i % 3) + "')")
+                    .ok());
+  }
+  for (const char* sql : {
+           "UPDATE OBJ SET NAME = 'renamed', NOTE = NULL WHERE ID = 3",
+           "DELETE FROM TAG WHERE ID > 20", "DELETE FROM OBJ WHERE ID > 25",
+           "BEGIN", "DELETE FROM TAG WHERE ID < 5", "ROLLBACK",
+           "INSERT INTO OBJ VALUES (40, 'M31', 3.4, 'after churn')"}) {
+    ASSERT_TRUE(db->Execute(sql).ok()) << sql;
+  }
+}
+
+TEST(LayoutClauseTest, SnapshotsOfEveryVersionLoadTheSameDump) {
+  Database db("SNAP");
+  BuildLayoutCatalogue(&db, " STORE COLUMNAR");
+  if (HasFatalFailure()) return;
+  const std::string v4 = db.SerializeSnapshot();
+  ASSERT_EQ(v4.substr(0, 10), "EASIASNAP4");
+  // The clause is no longer written back.
+  EXPECT_EQ(v4.find("STORE COLUMNAR"), std::string::npos);
+  const std::vector<std::string> dump = DumpTables(db);
+  for (int version = 1; version <= 4; ++version) {
+    SCOPED_TRACE("V" + std::to_string(version));
+    Result<std::string> image = TranscodeSnapshot(v4, version, "OBJ");
+    ASSERT_TRUE(image.ok()) << image.status().ToString();
+    ASSERT_NE(image->find("STORE COLUMNAR"), std::string::npos);
+    Database loaded("LOADED");
+    ASSERT_TRUE(loaded.LoadSnapshotFromString(*image).ok());
+    EXPECT_EQ(DumpTables(loaded), dump);
+    // The secondary and radix indexes were rebuilt from the rows.
+    Result<QueryResult> q = loaded.Execute(
+        "SELECT T.ID FROM TAG T, OBJ O WHERE T.OBJ_ID = O.ID AND "
+        "O.NAME LIKE 'NGC1%' AND T.T = 't1'");
+    ASSERT_TRUE(q.ok()) << q.status().ToString();
+    EXPECT_EQ(q->rows.size(), 5u);  // 1, 10, 13, 16, 19
+  }
+}
+
+TEST(LayoutClauseTest, WalWithTheClauseRecoversTheSameDump) {
+  const std::string wal =
+      (std::filesystem::temp_directory_path() /
+       ("easia_layout_clause_" + std::to_string(::getpid()) + ".wal"))
+          .string();
+  std::remove(wal.c_str());
+  DatabaseOptions opts;
+  opts.wal_path = wal;
+  std::vector<std::string> dump;
+  {
+    Database db("WAL", opts);
+    ASSERT_TRUE(db.Recover().ok());
+    BuildLayoutCatalogue(&db, " STORE COLUMNAR");
+    if (HasFatalFailure()) return;
+    dump = DumpTables(db);
+  }
+  Result<std::string> contents = io::RealEnv()->ReadFileToString(wal);
+  ASSERT_TRUE(contents.ok());
+  EXPECT_NE(contents->find("STORE COLUMNAR"), std::string::npos);
+  Database recovered("WAL", opts);
+  ASSERT_TRUE(recovered.Recover().ok());
+  EXPECT_EQ(DumpTables(recovered), dump);
+  // The same statements without the clause build the same state.
+  Database plain("PLAIN");
+  BuildLayoutCatalogue(&plain, "");
+  EXPECT_EQ(DumpTables(plain), dump);
+  std::remove(wal.c_str());
+}
+
+// ---------------------------------------------------------------------------
 // Storage stats feed the observability gauges
 // ---------------------------------------------------------------------------
 
 TEST(StorageStatsTest, ColumnarTablesReportPagesAndRadix) {
+  // Every table is columnar; R is declared without the (no-op) clause and
+  // left empty.
   Database db("STATS");
   ASSERT_TRUE(db.Execute(
                     "CREATE TABLE C (ID INTEGER PRIMARY KEY, "
@@ -811,15 +1271,14 @@ TEST(StorageStatsTest, ColumnarTablesReportPagesAndRadix) {
   ASSERT_TRUE(c.ok());
   ASSERT_TRUE(r.ok());
   Table::StorageStats cs = (*c)->GetStorageStats();
-  EXPECT_TRUE(cs.columnar);
   EXPECT_EQ(cs.rows, 50u);
   EXPECT_GT(cs.columnar_bytes, 0u);
   EXPECT_GT(cs.radix_nodes, 1u);
   EXPECT_GT(cs.radix_bytes, 0u);
   Table::StorageStats rs = (*r)->GetStorageStats();
-  EXPECT_FALSE(rs.columnar);
   EXPECT_EQ(rs.rows, 0u);
-  EXPECT_EQ(rs.radix_nodes, 0u);
+  EXPECT_LT(rs.columnar_bytes, cs.columnar_bytes);
+  EXPECT_EQ(rs.radix_nodes, 1u);  // NAME's index: the root alone
 }
 
 }  // namespace

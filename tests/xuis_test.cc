@@ -76,6 +76,32 @@ TEST_F(XuisTest, GeneratorHarvestsSamples) {
   EXPECT_TRUE(desc->samples.empty());
 }
 
+TEST_F(XuisTest, SamplesAreTheFirstDistinctValuesInRowIdOrder) {
+  db::Database& db = archive_->database();
+  ASSERT_TRUE(
+      db.Execute("CREATE TABLE TAGS (ID INTEGER PRIMARY KEY, T VARCHAR(4))")
+          .ok());
+  const char* tags[] = {"'c'", "'a'", "'c'", "NULL", "'b'", "'d'", "'a'"};
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(db.Execute("INSERT INTO TAGS VALUES (" + std::to_string(i) +
+                           ", " + tags[i] + ")")
+                    .ok());
+  }
+  // Deleting and re-inserting moves 'c' to the newest RowId.
+  ASSERT_TRUE(db.Execute("DELETE FROM TAGS WHERE ID = 0").ok());
+  ASSERT_TRUE(db.Execute("DELETE FROM TAGS WHERE ID = 2").ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO TAGS VALUES (9, 'c')").ok());
+  GeneratorOptions opts;
+  opts.samples_per_column = 3;
+  auto spec = GenerateDefaultXuis(db, opts);
+  ASSERT_TRUE(spec.ok());
+  const XuisColumn* col = spec->FindColumnById("TAGS.T");
+  ASSERT_NE(col, nullptr);
+  // RowId order now reads a, NULL, b, d, a, c: the first three distinct
+  // values, NULL skipped, reported sorted.
+  EXPECT_EQ(col->samples, (std::vector<std::string>{"a", "b", "d"}));
+}
+
 TEST_F(XuisTest, SampleHarvestingCanBeDisabled) {
   GeneratorOptions opts;
   opts.harvest_samples = false;
